@@ -8,20 +8,18 @@
 //
 //   $ ./build/bench/monitor_scale [--threads=N] [--sessions=N]
 //
-// Sharded mode (the fleet-scale numbers behind BENCH_monitor_scale.json):
+// Fleet mode (the fleet-scale numbers behind BENCH_monitor_scale.json):
 // sessions become *remote* loopback sessions — every snapshot crosses the
-// wire format — spread across a ShardedMonitor, comparing the full-snapshot
+// wire format — on one MonitorService, comparing the full-snapshot
 // transport against the delta transport at the identical poll rate.
 //
-//   $ ./build/bench/monitor_scale --shards=4 --transport=delta --sessions=1000
-//   $ ./build/bench/monitor_scale --sweep    # 1k/4k/10k, full vs delta,
-//                                            # plus a 10k backpressure run
+//   $ ./build/bench/monitor_scale --transport=delta --sessions=1000
+//   $ ./build/bench/monitor_scale --sweep    # 1k/4k/10k, full vs delta
 //
 // The sweep gates (non-zero exit) on the acceptance criteria: every run
 // completes with per-session progress monotone (within the checkers' 0.01
 // revision slack), and the delta transport saves at least 3x steady-state
-// bytes/session/sec at every fleet size. --budget-ms=X enables admission
-// control (see ShardedMonitorOptions::shard_tick_budget_ms).
+// bytes/session/sec at every fleet size.
 //
 // Environment: LQS_MONITOR_THREADS overrides --threads (0 = hardware).
 // All monitor lines in default mode are deterministic; the trailing
@@ -31,7 +29,6 @@
 //   $ diff <(./monitor_scale --threads=1 | grep -v '^BENCH') \
 //          <(./monitor_scale --threads=8 | grep -v '^BENCH')
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,7 +40,6 @@
 #include "common/stringf.h"
 #include "exec/executor.h"
 #include "monitor/monitor_service.h"
-#include "monitor/sharded_monitor.h"
 #include "remote/endpoint.h"
 #include "workload/workload.h"
 
@@ -84,20 +80,17 @@ std::string RenderTimeline(MonitorService* monitor) {
   return out;
 }
 
-/// One sharded fleet run: `num_sessions` remote loopback sessions over the
-/// full or delta transport, polled at the shared kBenchSnapshotIntervalMs
-/// tick. Reports whether everyone finished and whether per-session progress
+/// One fleet run: `num_sessions` remote loopback sessions over the full or
+/// delta transport, polled at the shared kBenchSnapshotIntervalMs tick.
+/// Reports whether everyone finished and whether per-session progress
 /// stayed monotone within the 0.01 revision slack the invariant checkers
 /// use (§5: corrections are revisions, regressions are bugs).
-struct ShardedRun {
+struct FleetRun {
   MonitorStats stats;
-  std::vector<MonitorStats> shard_stats;
   double horizon_ms = 0;
   size_t sessions = 0;
-  int shards = 0;
   bool all_done = false;
   bool monotone = true;
-  int max_poll_divisor = 1;
 
   double BytesPerSessionSec() const {
     if (sessions == 0 || horizon_ms <= 0) return 0;
@@ -106,28 +99,25 @@ struct ShardedRun {
   }
 };
 
-ShardedRun RunSharded(const std::vector<Executed>& executed,
-                      size_t num_sessions, int shards, bool serve_deltas,
-                      double budget_ms, int threads) {
-  ShardedMonitorOptions options;
-  options.num_shards = shards;
-  options.shard_options.num_threads = threads;
-  options.shard_options.tick_ms = kBenchSnapshotIntervalMs;
-  options.shard_tick_budget_ms = budget_ms;
-  ShardedMonitor monitor(options);
+FleetRun RunFleet(const std::vector<Executed>& executed, size_t num_sessions,
+                  bool serve_deltas, int threads) {
+  MonitorOptions options;
+  options.num_threads = threads;
+  options.tick_ms = kBenchSnapshotIntervalMs;
+  MonitorService monitor(options);
 
   PollingClientOptions client_options;
   client_options.max_attempts = 2;
   LoopbackOptions loopback;
   loopback.serve_deltas = serve_deltas;
-  double offset = 0;
   for (size_t i = 0; i < num_sessions; ++i) {
     const Executed& e = executed[i % executed.size()];
     // Stagger arrivals inside a bounded window so the fleet reaches a
     // steady state with most sessions mid-flight (an unbounded stagger
     // would make the horizon scale with the fleet and leave almost every
     // session idle on any given tick).
-    offset = static_cast<double>(i % 64) * kBenchSnapshotIntervalMs;
+    const double offset =
+        static_cast<double>(i % 64) * kBenchSnapshotIntervalMs;
     monitor.RegisterRemoteSession(
         StringF("s%05zu:%s", i, e.query->name.c_str()), &e.query->plan,
         e.catalog,
@@ -135,18 +125,10 @@ ShardedRun RunSharded(const std::vector<Executed>& executed,
         client_options);
   }
 
-  ShardedRun run;
+  FleetRun run;
   run.sessions = num_sessions;
-  run.shards = monitor.num_shards();
   run.horizon_ms = monitor.HorizonMs();
-  monitor.RunToCompletion(
-      [&](double, const std::vector<SessionStatus>& statuses) {
-        (void)statuses;
-        for (int s = 0; s < monitor.num_shards(); ++s) {
-          run.max_poll_divisor =
-              std::max(run.max_poll_divisor, monitor.poll_divisor(s));
-        }
-      });
+  monitor.RunToCompletion(nullptr);
   run.all_done = monitor.AllSessionsDone();
   // "Monotone" with the checkers' §5 semantics: every session is wrapped in
   // an always-on ProgressInvariantChecker, which reports any per-tick
@@ -160,41 +142,31 @@ ShardedRun RunSharded(const std::vector<Executed>& executed,
     std::fprintf(stderr, "%s", invariants.ToString().c_str());
   }
   run.stats = monitor.stats();
-  run.shard_stats = monitor.shard_stats();
   return run;
 }
 
-void PrintShardedBenchLine(const ShardedRun& run, const char* transport,
-                           double budget_ms) {
-  std::string shard_rates;
-  for (const MonitorStats& s : run.shard_stats) {
-    if (!shard_rates.empty()) shard_rates += ',';
-    shard_rates += StringF("%.0f", s.reports_per_sec);
-  }
+void PrintFleetBenchLine(const FleetRun& run, const char* transport) {
   std::printf(
-      "BENCH {\"bench\":\"monitor_scale\",\"mode\":\"sharded\","
-      "\"sessions\":%zu,\"shards\":%d,\"transport\":\"%s\","
-      "\"budget_ms\":%.3f,\"ticks\":%llu,\"reports\":%llu,"
-      "\"reports_per_sec\":%.0f,\"shard_reports_per_sec\":[%s],"
+      "BENCH {\"bench\":\"monitor_scale\",\"mode\":\"fleet\","
+      "\"sessions\":%zu,\"threads\":%d,\"transport\":\"%s\","
+      "\"ticks\":%llu,\"reports\":%llu,\"reports_per_sec\":%.0f,"
       "\"transport_bytes\":%llu,\"bytes_per_session_sec\":%.1f,"
       "\"deltas_applied\":%llu,\"delta_resyncs\":%llu,"
-      "\"stale_reports\":%llu,\"max_poll_divisor\":%d,"
-      "\"all_done\":%s,\"monotone\":%s}\n",
-      run.sessions, run.shards, transport, budget_ms,
+      "\"stale_reports\":%llu,\"all_done\":%s,\"monotone\":%s}\n",
+      run.sessions, run.stats.num_threads, transport,
       static_cast<unsigned long long>(run.stats.ticks),
       static_cast<unsigned long long>(run.stats.reports_computed),
-      run.stats.reports_per_sec, shard_rates.c_str(),
+      run.stats.reports_per_sec,
       static_cast<unsigned long long>(run.stats.transport_bytes),
       run.BytesPerSessionSec(),
       static_cast<unsigned long long>(run.stats.deltas_applied),
       static_cast<unsigned long long>(run.stats.delta_resyncs),
       static_cast<unsigned long long>(run.stats.stale_reports),
-      run.max_poll_divisor, run.all_done ? "true" : "false",
-      run.monotone ? "true" : "false");
+      run.all_done ? "true" : "false", run.monotone ? "true" : "false");
 }
 
 /// Checks one run against the sweep's hard acceptance criteria.
-bool RunHealthy(const ShardedRun& run, const char* label) {
+bool RunHealthy(const FleetRun& run, const char* label) {
   bool ok = true;
   if (!run.all_done) {
     std::fprintf(stderr, "FAIL: %s: a session wedged (not all done)\n",
@@ -209,19 +181,17 @@ bool RunHealthy(const ShardedRun& run, const char* label) {
   return ok;
 }
 
-int RunSweep(const std::vector<Executed>& executed, int shards, int threads) {
+int RunSweep(const std::vector<Executed>& executed, int threads) {
   bool ok = true;
   for (size_t sessions : {size_t{1000}, size_t{4000}, size_t{10000}}) {
-    ShardedRun full = RunSharded(executed, sessions, shards,
-                                 /*serve_deltas=*/false, /*budget_ms=*/0,
-                                 threads);
-    PrintShardedBenchLine(full, "full", 0);
+    FleetRun full =
+        RunFleet(executed, sessions, /*serve_deltas=*/false, threads);
+    PrintFleetBenchLine(full, "full");
     ok = RunHealthy(full, "full transport") && ok;
 
-    ShardedRun delta = RunSharded(executed, sessions, shards,
-                                  /*serve_deltas=*/true, /*budget_ms=*/0,
-                                  threads);
-    PrintShardedBenchLine(delta, "delta", 0);
+    FleetRun delta =
+        RunFleet(executed, sessions, /*serve_deltas=*/true, threads);
+    PrintFleetBenchLine(delta, "delta");
     ok = RunHealthy(delta, "delta transport") && ok;
 
     const double reduction =
@@ -230,11 +200,11 @@ int RunSweep(const std::vector<Executed>& executed, int shards, int threads) {
             : 0;
     std::printf(
         "BENCH {\"bench\":\"monitor_scale_delta_reduction\","
-        "\"sessions\":%zu,\"shards\":%d,"
+        "\"sessions\":%zu,"
         "\"full_bytes_per_session_sec\":%.1f,"
         "\"delta_bytes_per_session_sec\":%.1f,\"reduction\":%.2f}\n",
-        sessions, shards, full.BytesPerSessionSec(),
-        delta.BytesPerSessionSec(), reduction);
+        sessions, full.BytesPerSessionSec(), delta.BytesPerSessionSec(),
+        reduction);
     if (reduction < 3.0) {
       std::fprintf(stderr,
                    "FAIL: %zu sessions: delta transport reduction %.2fx is "
@@ -242,20 +212,6 @@ int RunSweep(const std::vector<Executed>& executed, int shards, int threads) {
                    sessions, reduction);
       ok = false;
     }
-  }
-
-  // The survival run: 10k sessions under an admission budget no shard can
-  // meet, so the poll divisors ride the cap — sessions must degrade to
-  // stale held views, never wedge, and still finish monotone.
-  ShardedRun stress = RunSharded(executed, 10000, shards,
-                                 /*serve_deltas=*/true, /*budget_ms=*/0.01,
-                                 threads);
-  PrintShardedBenchLine(stress, "delta", 0.01);
-  ok = RunHealthy(stress, "backpressure stress") && ok;
-  if (stress.max_poll_divisor <= 1) {
-    std::fprintf(stderr,
-                 "FAIL: stress budget never engaged admission control\n");
-    ok = false;
   }
   return ok ? 0 : 1;
 }
@@ -265,10 +221,8 @@ int RunSweep(const std::vector<Executed>& executed, int shards, int threads) {
 int main(int argc, char** argv) {
   int threads = 0;  // hardware default
   size_t num_sessions = 64;
-  int shards = 0;  // 0 = single-service default mode
   bool sweep = false;
-  bool serve_deltas = false;
-  double budget_ms = 0;
+  const char* transport = nullptr;  // null = local default mode
   if (const char* env = std::getenv("LQS_MONITOR_THREADS")) {
     threads = std::atoi(env);
   }
@@ -277,14 +231,10 @@ int main(int argc, char** argv) {
       threads = std::atoi(argv[i] + 10);
     } else if (std::strncmp(argv[i], "--sessions=", 11) == 0) {
       num_sessions = static_cast<size_t>(std::atoll(argv[i] + 11));
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = std::atoi(argv[i] + 9);
     } else if (std::strcmp(argv[i], "--sweep") == 0) {
       sweep = true;
     } else if (std::strncmp(argv[i], "--transport=", 12) == 0) {
-      serve_deltas = std::strcmp(argv[i] + 12, "delta") == 0;
-    } else if (std::strncmp(argv[i], "--budget-ms=", 12) == 0) {
-      budget_ms = std::atof(argv[i] + 12);
+      transport = argv[i] + 12;
     }
   }
 
@@ -323,12 +273,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (sweep) return RunSweep(executed, shards > 0 ? shards : 4, threads);
-  if (shards > 0) {
-    ShardedRun run = RunSharded(executed, num_sessions, shards, serve_deltas,
-                                budget_ms, threads);
-    PrintShardedBenchLine(run, serve_deltas ? "delta" : "full", budget_ms);
-    return RunHealthy(run, "sharded run") ? 0 : 1;
+  if (sweep) return RunSweep(executed, threads);
+  if (transport != nullptr) {
+    const bool serve_deltas = std::strcmp(transport, "delta") == 0;
+    FleetRun run = RunFleet(executed, num_sessions, serve_deltas, threads);
+    PrintFleetBenchLine(run, serve_deltas ? "delta" : "full");
+    return RunHealthy(run, "fleet run") ? 0 : 1;
   }
 
   // Register `num_sessions` sessions cycling through the executed traces,

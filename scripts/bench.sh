@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Benchmark runner: builds Release, runs the estimator-throughput bench, the
 # wire-format throughput bench, the 64-session monitor scale bench, and the
-# sharded monitor sweep (1k/4k/10k sessions, full-vs-delta transport), and
-# collects each family's trailing "BENCH {...}" JSON lines into one JSON
-# array per family.
+# fleet sweep (1k/4k/10k remote sessions on one monitor, full-vs-delta
+# transport), and collects each family's trailing "BENCH {...}" JSON lines
+# into one JSON array per family.
 #
 #   $ scripts/bench.sh
 #
@@ -13,7 +13,7 @@
 # BENCH_BUILD_DIR). CI runs this as a non-gating artifact step — numbers are
 # tracked, not asserted — but estimator_throughput exits non-zero if the
 # fresh and workspace-reusing modes ever diverge, monitor_scale --sweep
-# exits non-zero if a sharded run wedges, regresses per-session progress, or
+# exits non-zero if a fleet run wedges, regresses per-session progress, or
 # the delta transport falls under its 3x bytes-per-session reduction floor,
 # ensemble_accuracy exits non-zero if the ensemble's Error_time falls
 # outside [better than worst fixed preset, 1.1x best fixed preset],

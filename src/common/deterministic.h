@@ -27,14 +27,8 @@
 ///     // lqs-verify: det-ok(reason)
 /// The reason is mandatory; the checker rejects an empty one.
 ///
-/// Under clang the macro lowers to [[clang::annotate]] so the attribute
-/// survives into the AST for the libclang frontend; under GCC it expands to
-/// nothing and only the textual form remains — which both frontends also
-/// read, so the annotation token in the source is the ground truth.
-#if defined(__clang__)
-#define LQS_DETERMINISTIC [[clang::annotate("lqs::deterministic")]]
-#else
+/// The macro expands to nothing: the checker reads the annotation token in
+/// the source text, which is the ground truth it consumes.
 #define LQS_DETERMINISTIC
-#endif
 
 #endif  // LQS_COMMON_DETERMINISTIC_H_

@@ -15,10 +15,6 @@ namespace lqs {
 /// between existing ones, ordered outermost (lowest) to innermost/leaf
 /// (highest).
 namespace lock_rank {
-/// ShardedMonitor::backpressure_mu_ — guards the per-shard poll-divisor
-/// backpressure state; taken briefly by the driver thread around a shard
-/// tick and never held across the tick itself.
-inline constexpr int kShardedBackpressure = 50;
 /// MonitorService::stats_mu_ — taken by the driver thread after a tick's
 /// barrier and by any reader calling stats(); never held across a
 /// ParallelFor.

@@ -37,18 +37,9 @@
 ///     but is lexically an allocating operation. The justification is
 ///     mandatory here too.
 ///
-/// Under clang both macros lower to [[clang::annotate]] so the attribute
-/// survives into the AST for the libclang frontend; under GCC they expand
-/// to nothing and only the textual form (which the fallback frontend and
-/// grep read) remains. Either way the annotation token in the source is the
-/// ground truth the checker consumes.
-#if defined(__clang__)
-#define LQS_NOALLOC [[clang::annotate("lqs::noalloc")]]
-#define LQS_ALLOC_OK(justification) \
-  [[clang::annotate("lqs::alloc_ok:" justification)]]
-#else
+/// Both macros expand to nothing: the checker reads the annotation token in
+/// the source text, which is the ground truth it consumes.
 #define LQS_NOALLOC
 #define LQS_ALLOC_OK(justification)
-#endif
 
 #endif  // LQS_COMMON_NOALLOC_H_

@@ -66,6 +66,27 @@ int MonitorService::RegisterSession(std::string name, const Plan* plan,
                                     const ProfileTrace* trace,
                                     double start_offset_ms,
                                     const EstimatorOptions& estimator_options) {
+  return AddSession(std::move(name), plan, catalog, trace, nullptr,
+                    start_offset_ms, estimator_options);
+}
+
+int MonitorService::RegisterRemoteSession(
+    std::string name, const Plan* plan, const Catalog* catalog,
+    std::unique_ptr<SnapshotEndpoint> endpoint, double start_offset_ms,
+    const PollingClientOptions& client_options,
+    const EstimatorOptions& estimator_options) {
+  return AddSession(
+      std::move(name), plan, catalog, nullptr,
+      std::make_unique<PollingClient>(std::move(endpoint), client_options),
+      start_offset_ms, estimator_options);
+}
+
+int MonitorService::AddSession(std::string name, const Plan* plan,
+                               const Catalog* catalog,
+                               const ProfileTrace* trace,
+                               std::unique_ptr<PollingClient> client,
+                               double start_offset_ms,
+                               const EstimatorOptions& estimator_options) {
   Session session;
   session.name = std::move(name);
   session.plan = plan;
@@ -84,6 +105,7 @@ int MonitorService::RegisterSession(std::string name, const Plan* plan,
           session.estimator, options_.checker_options);
     }
   }
+  session.client = std::move(client);
   sessions_.push_back(std::move(session));
   {
     MutexLock lock(&stats_mu_);
@@ -91,41 +113,7 @@ int MonitorService::RegisterSession(std::string name, const Plan* plan,
     estimators_cached_ = estimator_cache_.size();
     ensembles_cached_ = ensemble_cache_.size();
     if (sessions_.back().ensemble != nullptr) ++ensemble_sessions_;
-  }
-  return static_cast<int>(sessions_.size()) - 1;
-}
-
-int MonitorService::RegisterRemoteSession(
-    std::string name, const Plan* plan, const Catalog* catalog,
-    std::unique_ptr<SnapshotEndpoint> endpoint, double start_offset_ms,
-    const PollingClientOptions& client_options,
-    const EstimatorOptions& estimator_options) {
-  Session session;
-  session.name = std::move(name);
-  session.plan = plan;
-  session.catalog = catalog;
-  session.trace = nullptr;
-  session.start_offset_ms = start_offset_ms;
-  if (estimator_options.ensemble) {
-    session.estimator = nullptr;
-    session.ensemble = CachedEnsemble(plan, catalog, estimator_options);
-  } else {
-    session.estimator = CachedEstimator(plan, catalog, estimator_options);
-    if (options_.check_invariants) {
-      session.checker = std::make_unique<ProgressInvariantChecker>(
-          session.estimator, options_.checker_options);
-    }
-  }
-  session.client =
-      std::make_unique<PollingClient>(std::move(endpoint), client_options);
-  sessions_.push_back(std::move(session));
-  {
-    MutexLock lock(&stats_mu_);
-    sessions_registered_ = sessions_.size();
-    estimators_cached_ = estimator_cache_.size();
-    ensembles_cached_ = ensemble_cache_.size();
-    if (sessions_.back().ensemble != nullptr) ++ensemble_sessions_;
-    ++remote_sessions_;
+    if (sessions_.back().client != nullptr) ++remote_sessions_;
   }
   return static_cast<int>(sessions_.size()) - 1;
 }
@@ -161,41 +149,46 @@ void MonitorService::ComputeStatus(size_t index, double now_ms,
     session.last_state = out->state;
     return;
   }
+  // The snapshot source: a local session reads its trace at its own clock;
+  // a remote one polls its client, and done means the final snapshot
+  // crossed the link (its counters are final).
+  bool done;
   if (session.client != nullptr) {
-    ComputeRemoteStatus(&session, out, latency_ms);
-    session.last_state = out->state;
-    return;
+    const ClientView& view = session.client->Poll(out->local_time_ms);
+    out->stale = view.stale;
+    out->staleness_ms = view.staleness_ms;
+    out->degraded = view.health == TransportHealth::kDegraded;
+    out->consecutive_failures = view.consecutive_failures;
+    done = view.query_complete;
+    out->snapshot = view.snapshot;
+  } else {
+    done = out->local_time_ms >= session.trace->total_elapsed_ms;
+    out->snapshot =
+        done ? &session.trace->final_snapshot
+             : session.trace->SnapshotAtOrBefore(out->local_time_ms);
   }
-  if (out->local_time_ms >= session.trace->total_elapsed_ms) {
-    out->state = SessionState::kDone;
-    out->snapshot = &session.trace->final_snapshot;
-    out->progress = 1.0;
-    session.last_state = out->state;
-    return;
-  }
-  out->state = SessionState::kRunning;
-  out->snapshot = session.trace->SnapshotAtOrBefore(out->local_time_ms);
+  out->state = done ? SessionState::kDone : SessionState::kRunning;
   session.last_state = out->state;
+  if (done) {
+    out->progress = 1.0;
+    return;
+  }
   if (out->snapshot == nullptr) {
-    // Unreachable for executor-produced traces (the profiler snapshots on
-    // its first poll), but hand-built traces may have no sample this early.
+    // Nothing to estimate from yet: the first polls were lost or the server
+    // had no sample this early, or a hand-built trace has none (executor
+    // traces always do). Progress holds at zero; the session is alive, not
+    // wedged.
     out->progress = 0;
     return;
   }
-  EstimateSession(&session, out, latency_ms);
-}
-
-void MonitorService::EstimateSession(Session* session, SessionStatus* out,
-                                     double* latency_ms) {
   const double start_ms = LatencyClockNowMs();
-  if (session->ensemble != nullptr) {
+  if (session.ensemble != nullptr) {
     // Ensemble arm: every candidate estimates into the session-owned
     // report buffer; the selected candidate's report plus the winner/band
     // view land in the status.
-    session->ensemble->EstimateInto(*out->snapshot,
-                                    &session->ensemble_workspace,
-                                    &session->ensemble_report);
-    const EnsembleReport& er = session->ensemble_report;
+    session.ensemble->EstimateInto(*out->snapshot, &session.ensemble_workspace,
+                                   &session.ensemble_report);
+    const EnsembleReport& er = session.ensemble_report;
     out->ensemble = true;
     out->ensemble_winner = er.winner;
     out->ensemble_winner_name = er.winner_name;
@@ -203,55 +196,27 @@ void MonitorService::EstimateSession(Session* session, SessionStatus* out,
     out->band_hi = er.band_hi;
     out->report = er.selected;
     out->progress = er.query_progress;
-  } else if (session->checker != nullptr) {
-    session->checker->EstimateCheckedInto(*out->snapshot, &session->workspace,
-                                          &out->report);
+  } else if (session.checker != nullptr) {
+    session.checker->EstimateCheckedInto(*out->snapshot, &session.workspace,
+                                         &out->report);
     out->progress = out->report.query_progress;
   } else {
-    session->estimator->EstimateInto(*out->snapshot, &session->workspace,
-                                     &out->report);
+    session.estimator->EstimateInto(*out->snapshot, &session.workspace,
+                                    &out->report);
     out->progress = out->report.query_progress;
   }
   *latency_ms = LatencyClockNowMs() - start_ms;
 }
 
-void MonitorService::ComputeRemoteStatus(Session* session, SessionStatus* out,
-                                         double* latency_ms) {
-  out->remote = true;
-  const ClientView& view = session->client->Poll(out->local_time_ms);
-  out->stale = view.stale;
-  out->staleness_ms = view.staleness_ms;
-  out->degraded = view.health == TransportHealth::kDegraded;
-  out->consecutive_failures = view.consecutive_failures;
-  if (view.query_complete) {
-    // The final snapshot crossed the link; counters are final.
-    out->state = SessionState::kDone;
-    out->snapshot = view.snapshot;
-    out->progress = 1.0;
-    return;
-  }
-  out->state = SessionState::kRunning;
-  out->snapshot = view.snapshot;
-  if (out->snapshot == nullptr) {
-    // Nothing has crossed the link yet (first polls lost, or the server
-    // has no sample this early). Progress holds at zero; the session is
-    // alive, not wedged.
-    out->progress = 0;
-    return;
-  }
-  EstimateSession(session, out, latency_ms);
-}
-
 std::vector<SessionStatus> MonitorService::Tick(double now_ms) {
+  // The tick is timed from entry until its counters are published, so the
+  // post-barrier loops over every session below count as tick time.
+  const double tick_start_ms = LatencyClockNowMs();
   std::vector<SessionStatus> statuses(sessions_.size());
   std::vector<double> latencies(sessions_.size(), -1);
-  const auto tick_start = std::chrono::steady_clock::now();
   pool_.ParallelFor(sessions_.size(), [&](size_t i) {
     ComputeStatus(i, now_ms, &statuses[i], &latencies[i]);
   });
-  const double tick_wall_ms = std::chrono::duration<double, std::milli>(
-                                  std::chrono::steady_clock::now() - tick_start)
-                                  .count();
   // Transport aggregation runs on the driver after the barrier: per-session
   // clients are quiescent here (the same ownership rule that lets
   // ComputeStatus mutate them without a lock).
@@ -338,8 +303,6 @@ std::vector<SessionStatus> MonitorService::Tick(double now_ms) {
   lp_bounds_sessions_ = lp_sessions;
   bounds_lp_tightenings_ = lp_tightenings;
   bounds_intersection_inversions_ = lp_inversions;
-  wall_ms_ += tick_wall_ms;
-  tick_latencies_ms_.Add(tick_wall_ms);
   ++ticks_;
   last_active_ = last_waiting_ = last_done_ = 0;
   for (const SessionStatus& s : statuses) {
@@ -359,6 +322,9 @@ std::vector<SessionStatus> MonitorService::Tick(double now_ms) {
       max_estimate_latency_ms_ = std::max(max_estimate_latency_ms_, latency);
     }
   }
+  const double tick_wall_ms = LatencyClockNowMs() - tick_start_ms;
+  wall_ms_ += tick_wall_ms;
+  tick_latencies_ms_.Add(tick_wall_ms);
   return statuses;
 }
 

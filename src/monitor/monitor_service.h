@@ -129,11 +129,13 @@ struct MonitorStats {
   /// Sum of estimate latencies within the most recent tick — the per-tick
   /// estimation cost a dashboard would graph.
   double last_tick_estimate_ms = 0;
-  /// Wall-clock percentiles of one whole Tick() (all sessions, fan-out +
-  /// barrier).
+  /// Wall-clock percentiles of one whole Tick(), from entry until its
+  /// counters are published (fan-out, barrier and post-barrier
+  /// aggregation).
   double p50_tick_latency_ms = 0;
   double p95_tick_latency_ms = 0;
-  /// Wall-clock time spent inside Tick() and the resulting throughput.
+  /// Wall-clock time spent inside Tick() (timed as above) and the resulting
+  /// throughput.
   double wall_ms = 0;
   double reports_per_sec = 0;
 
@@ -357,7 +359,17 @@ class MonitorService {
                                           const Catalog* catalog,
                                           const EstimatorOptions& options);
 
+  /// Registration body shared by the local and remote entry points: exactly
+  /// one of `trace` and `client` is non-null. Binds the cached estimator or
+  /// ensemble, the invariant checker, and the stats mirrors.
+  int AddSession(std::string name, const Plan* plan, const Catalog* catalog,
+                 const ProfileTrace* trace,
+                 std::unique_ptr<PollingClient> client, double start_offset_ms,
+                 const EstimatorOptions& estimator_options);
+
   /// Computes one session's status at `now_ms` (runs on a pool worker).
+  /// Local sessions read their trace, remote ones poll their client; both
+  /// then share one done / running / no-snapshot / estimate tail.
   /// LQS_NOALLOC: this is the steady-state body of Tick() — one call per
   /// active session per tick, fanned out across the pool. Its deliberate
   /// allocation boundaries (workspace sizing, transport decode, violation
@@ -372,17 +384,6 @@ class MonitorService {
   LQS_NOALLOC LQS_DETERMINISTIC void ComputeStatus(size_t index, double now_ms,
                                                    SessionStatus* out,
                                                    double* latency_ms);
-  /// Endpoint-backed arm of ComputeStatus: polls the session's client and
-  /// estimates off whatever snapshot the link yielded.
-  void ComputeRemoteStatus(Session* session, SessionStatus* out,
-                           double* latency_ms);
-  /// Shared estimate tail of the local and remote arms: dispatches to the
-  /// ensemble / checked / plain estimator against `out->snapshot` (must be
-  /// non-null) and stamps `*latency_ms`. Inherits ComputeStatus's noalloc
-  /// and determinism obligations transitively (it is only reachable from
-  /// that root).
-  void EstimateSession(Session* session, SessionStatus* out,
-                       double* latency_ms);
 
   const MonitorOptions options_;
   /// Internally synchronized (owns its own kThreadPool lock); fanned out to

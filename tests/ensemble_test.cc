@@ -8,8 +8,7 @@
 //  - hysteresis prevents winner flap on a crafted alternating score
 //    sequence;
 //  - monitor sessions in EstimatorOptions::ensemble mode surface the
-//    winner + band per session, and the sharded monitor passes the mode
-//    through to its shards.
+//    winner + band per session.
 
 #include <algorithm>
 #include <cmath>
@@ -22,7 +21,6 @@
 #include "ensemble/ensemble_metrics.h"
 #include "lqs/estimator.h"
 #include "monitor/monitor_service.h"
-#include "monitor/sharded_monitor.h"
 #include "optimizer/annotate.h"
 #include "tests/test_util.h"
 #include "workload/plan_builder.h"
@@ -297,26 +295,6 @@ TEST_F(EnsembleTest, MonitorSessionSurfacesWinnerAndBand) {
   double latency_total = 0;
   for (double ms : stats.ensemble_candidate_latency_ms) latency_total += ms;
   EXPECT_GE(latency_total, 0.0);
-}
-
-TEST_F(EnsembleTest, ShardedMonitorPassesEnsembleModeThrough) {
-  Plan plan = Annotated(Sort(Scan("t_big"), {2}));
-  auto result = Run(plan);
-
-  EstimatorOptions ensemble_mode;
-  ensemble_mode.ensemble = true;
-  ShardedMonitorOptions options;
-  options.num_shards = 2;
-  ShardedMonitor sharded(options);
-  sharded.RegisterSession("e0", &plan, catalog_.get(), &result.trace, 0.0,
-                          ensemble_mode);
-  sharded.RegisterSession("e1", &plan, catalog_.get(), &result.trace, 5.0,
-                          ensemble_mode);
-  sharded.RunToCompletion(nullptr);
-  const MonitorStats stats = sharded.stats();
-  EXPECT_EQ(stats.ensemble_sessions, 2u);
-  EXPECT_GT(stats.ensemble_candidate_estimates, 0u);
-  ASSERT_FALSE(stats.ensemble_candidate_names.empty());
 }
 
 TEST_F(EnsembleTest, EvaluateEnsembleProducesComparableMetrics) {

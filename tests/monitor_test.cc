@@ -1,7 +1,8 @@
 // MonitorService: session lifecycle on the shared timeline, the estimator
 // cache, the zero-horizon guard (the old example's infinite loop), the
 // determinism contract (1-thread and N-thread runs produce identical
-// results), aggregate stats, and the ThreadPool underneath it all.
+// results), aggregate stats, the indexed (drift-free) tick loop, and the
+// ThreadPool underneath it all.
 
 #include <atomic>
 #include <cstdint>
@@ -211,6 +212,44 @@ TEST_F(MonitorTest, StatsLatenciesAndThroughputArePopulated) {
   EXPECT_GE(stats.p95_tick_latency_ms, stats.p50_tick_latency_ms);
   EXPECT_GE(stats.p50_estimate_latency_ms, 0.0);
   EXPECT_GT(stats.num_threads, 0);
+}
+
+// Regression test for the accumulated-tick drift bug. With tick_ms = 6.7 —
+// inexact in binary — 3000 repeated additions accumulate to
+// 20100.000000001135, which is past horizon + 1e-9, so the drifting loop
+// skipped the final on-horizon tick and then issued an overtime tick
+// *beyond* the horizon. The indexed loop computes t = i * tick with one
+// rounding per tick: 3000 * 6.7 is exactly 20100.0.
+TEST_F(MonitorTest, IndexedTickLoopHitsExactHorizon) {
+  Plan plan = Annotated(Sort(Scan("t_small"), {0}));
+  ExecutionResult result = Run(plan);
+  // Stretch the virtual timeline so the horizon is exactly 3000 ticks of
+  // 6.7 ms. Counters are untouched; the session simply idles on its last
+  // snapshot until the (much later) final one.
+  result.trace.total_elapsed_ms = 20100.0;
+  result.trace.final_snapshot.time_ms = 20100.0;
+  const double horizon = 20100.0;
+
+  MonitorOptions tick_options;
+  tick_options.tick_ms = 6.7;
+  tick_options.num_threads = 1;
+
+  MonitorService monitor(tick_options);
+  monitor.RegisterSession("drift", &plan, catalog_.get(), &result.trace,
+                          /*start_offset_ms=*/0);
+  ASSERT_DOUBLE_EQ(monitor.HorizonMs(), horizon);
+  std::vector<double> times;
+  monitor.RunToCompletion(
+      [&](double now_ms, const std::vector<SessionStatus>&) {
+        times.push_back(now_ms);
+      });
+  ASSERT_EQ(times.size(), 3000u) << "final on-horizon tick was skipped";
+  EXPECT_DOUBLE_EQ(times.back(), horizon);
+  for (double t : times) {
+    ASSERT_LE(t, horizon + 1e-9) << "tick drifted past the horizon";
+  }
+  EXPECT_TRUE(monitor.AllSessionsDone())
+      << "session left for overtime ticks the horizon pass should cover";
 }
 
 TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {

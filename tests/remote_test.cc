@@ -14,7 +14,9 @@
 //  - the ISSUE acceptance run: 64 monitored sessions over a lossy link
 //    (drop=10%, delay up to 3 polling intervals, dup=5%, seeded) all
 //    complete, each session's rendered snapshot timestamps are monotone,
-//    and every final progress lands within 5 points of the fault-free run.
+//    and every final progress lands within 5 points of the fault-free run;
+//  - full and delta sessions on one monitor sum exactly into its transport
+//    stats.
 
 #include <cmath>
 #include <deque>
@@ -836,6 +838,47 @@ TEST(RemoteMonitorTest, LoopbackSessionMatchesLocalSessionConclusions) {
   const ClientStats& stats = monitor.session_client_stats(remote);
   EXPECT_GT(stats.accepted, 0u);
   EXPECT_EQ(stats.transport_failures, 0u);
+}
+
+// Full and delta loopback sessions side by side on one service: all finish,
+// the delta half really exercises the delta path, and the transport
+// aggregates in stats() are exactly the sum of the per-session clients.
+TEST(RemoteMonitorTest, MixedTransportSessionsAggregateTransportStats) {
+  std::unique_ptr<Catalog> catalog = MakeTestCatalog();
+  Plan plan = MustFinalize(Sort(Scan("t_big"), {2}), *catalog);
+  ASSERT_OK(AnnotatePlan(&plan, *catalog, OptimizerOptions{}));
+  ExecOptions exec;
+  exec.snapshot_interval_ms = 4.0;
+  ExecutionResult result = MustExecute(plan, catalog.get(), exec);
+
+  MonitorOptions options;
+  options.ticks_per_horizon = 24;
+  MonitorService monitor(options);
+  constexpr int kSessions = 9;
+  for (int i = 0; i < kSessions; ++i) {
+    LoopbackOptions loopback;
+    loopback.serve_deltas = (i % 2 == 0);  // mix delta and full transports
+    monitor.RegisterRemoteSession(
+        "session-" + std::to_string(i), &plan, catalog.get(),
+        std::make_unique<LoopbackEndpoint>(&result.trace, loopback),
+        /*start_offset_ms=*/i * 2.0);
+  }
+  monitor.RunToCompletion(nullptr);
+  EXPECT_TRUE(monitor.AllSessionsDone());
+  EXPECT_TRUE(monitor.FinalCheck().ok());
+
+  MonitorStats stats = monitor.stats();
+  EXPECT_EQ(stats.remote_sessions, static_cast<size_t>(kSessions));
+  EXPECT_EQ(stats.done, static_cast<size_t>(kSessions));
+  EXPECT_GT(stats.transport_polls, 0u);
+  EXPECT_GT(stats.transport_bytes, 0u);
+  EXPECT_GT(stats.snapshots_accepted, 0u);
+  EXPECT_GT(stats.deltas_applied, 0u);
+  uint64_t bytes_across_sessions = 0;
+  for (int i = 0; i < kSessions; ++i) {
+    bytes_across_sessions += monitor.session_client_stats(i).bytes_received;
+  }
+  EXPECT_EQ(bytes_across_sessions, stats.transport_bytes);
 }
 
 }  // namespace

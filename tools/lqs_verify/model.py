@@ -1,8 +1,7 @@
-"""Shared IR for lqs-verify's frontends and checkers.
+"""Shared IR for lqs-verify's frontend and checkers.
 
-Both frontends (frontend_clang via libclang, frontend_lite via the built-in
-tokenizer) lower C++ sources into this model; the three checkers in
-checks.py consume only the model, so their findings are frontend-agnostic.
+The frontend (frontend_lite, a built-in tokenizer) lowers C++ sources into
+this model; the checkers in checks.py consume only the model.
 
 The model is deliberately small: functions with their call sites,
 allocation sites, lock-acquisition sites, and determinism hazards; the
@@ -226,9 +225,8 @@ class Finding:
 
 
 # ---------------------------------------------------------------------------
-# Comment suppressions are parsed from raw text, uniformly for every
-# frontend: libclang drops comments from the AST, and the escape hatch must
-# behave identically whichever frontend parsed the file.
+# Comment suppressions are parsed from raw text, separately from the
+# frontend's structural scan.
 
 _ALLOC_OK_COMMENT = re.compile(
     r'(?://|/\*).*?LQS_ALLOC_OK\(\s*"((?:[^"\\]|\\.)*)"\s*\)')

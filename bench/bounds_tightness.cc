@@ -4,11 +4,11 @@
 // Error_time when the optimizer's cardinalities are seeded wrong?
 //
 // Method: the TPC-H (skewed) and TPC-DS workloads are annotated with seeded
-// selectivity misestimation (two severities per workload, like
-// ensemble_accuracy) so the estimates the bounds must clamp are genuinely
-// bad. Every query executes once; at the ~50% snapshot both engines derive
-// intervals through ComputeBoundsPipelineInto and the per-node upper-bound
-// q-error UB/max(1, N_true) is collected per operator class. The same trace
+// selectivity misestimation (two severities per workload) so the estimates
+// the bounds must clamp are genuinely bad. Every query executes once; at
+// the ~50% snapshot both engines derive intervals through
+// ComputeBoundsPipelineInto and the per-node upper-bound q-error
+// UB/max(1, N_true) is collected per operator class. The same trace
 // then replays through EvaluateQuery twice — Appendix A only vs intersected
 // — and Error_time aggregates per engine.
 //

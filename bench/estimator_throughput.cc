@@ -1,16 +1,15 @@
-// Estimator-throughput benchmark: fresh-allocation vs workspace-reusing
-// estimation over whole recorded traces, at 1 / 8 / 64 concurrent sessions,
-// on TPC-H + TPC-DS plans under all four §5 presets.
+// Estimator-throughput benchmark: stateless vs incremental estimation over
+// whole recorded traces, at 1 / 8 / 64 concurrent sessions, on TPC-H +
+// TPC-DS plans under all four §5 presets.
 //
-// Both modes run in one invocation over the identical snapshot schedule:
+// Both modes run in one invocation over the identical snapshot schedule,
+// each session estimating into its own Workspace through EstimateInto():
 //
-//  - "fresh": ProgressEstimator with incremental=false, one Estimate() per
-//    snapshot — the paper's stateless §2.2 client, which reallocates every
-//    intermediate vector and re-derives every snapshot-independent quantity
+//  - "fresh": estimators with incremental=false — the paper's stateless
+//    §2.2 client, which re-derives every snapshot-independent quantity
 //    (catalog lookups, Appendix A coefficients, §4.6 weight terms) per poll.
-//  - "reuse": incremental=true estimators, one Workspace per session,
-//    EstimateInto() — the zero-allocation engine with hoisted plan analysis
-//    and finished-operator short-circuits.
+//  - "reuse": incremental=true estimators — hoisted plan analysis and
+//    finished-operator short-circuits on top of the same workspace.
 //
 // Reports are bit-identical across the two modes (also enforced by
 // tests/estimator_workspace_test.cc); this bench cross-checks
@@ -76,8 +75,9 @@ struct CellResult {
 constexpr int kReps = 5;
 
 /// Replays every session's full trace, interleaved round-robin across
-/// sessions the way a monitor tick would, in one of the two modes.
-CellResult RunCell(std::vector<ReplaySession>* sessions, bool reuse) {
+/// sessions the way a monitor tick would; the sessions' estimators set the
+/// mode.
+CellResult RunCell(std::vector<ReplaySession>* sessions) {
   CellResult cell;
   size_t max_len = 0;
   for (const ReplaySession& s : *sessions) {
@@ -89,11 +89,7 @@ CellResult RunCell(std::vector<ReplaySession>* sessions, bool reuse) {
       for (ReplaySession& s : *sessions) {
         const auto& snaps = s.executed->result.trace.snapshots;
         if (t >= snaps.size()) continue;
-        if (reuse) {
-          s.estimator->EstimateInto(snaps[t], &s.workspace, &s.report);
-        } else {
-          s.report = s.estimator->Estimate(snaps[t]);
-        }
+        s.estimator->EstimateInto(snaps[t], &s.workspace, &s.report);
         cell.progress_sum += s.report.query_progress;
         ++cell.estimates;
       }
@@ -143,8 +139,7 @@ int main() {
   }
 
   // The shared preset registry keeps the bench's configuration list and
-  // output labels in lockstep with the estimator (and the ensemble's
-  // candidate pool).
+  // output labels in lockstep with the estimator.
   std::vector<EstimatorConfig> presets;
   for (int i = 0; i < EstimatorOptions::kPresetCount; ++i) {
     presets.push_back({EstimatorOptions::PresetName(i),
@@ -187,8 +182,8 @@ int main() {
         reuse_sessions[i].estimator = reused.get();
       }
 
-      const CellResult fresh = RunCell(&fresh_sessions, /*reuse=*/false);
-      const CellResult reuse = RunCell(&reuse_sessions, /*reuse=*/true);
+      const CellResult fresh = RunCell(&fresh_sessions);
+      const CellResult reuse = RunCell(&reuse_sessions);
       total_fresh_ms += fresh.wall_ms;
       total_reuse_ms += reuse.wall_ms;
       // Bit-identity cross-check: identical schedule, so the progress sums

@@ -1,7 +1,9 @@
 // Micro-benchmarks of the client-side estimator itself (google-benchmark):
-// LQS polls the DMV every 500 ms (§2.2), so one Estimate() call per query
-// per tick must be far below that budget. Measures progress estimation,
-// bounds computation and plan analysis on a representative multi-join plan.
+// LQS polls the DMV every 500 ms (§2.2), so one EstimateInto call per query
+// per tick must be far below that budget. Every estimate below reuses one
+// Workspace + report, the way a monitor session does. Measures progress
+// estimation, bounds computation and plan analysis on a representative
+// multi-join plan.
 
 #include <benchmark/benchmark.h>
 
@@ -49,20 +51,6 @@ void BM_EstimateFullLqs(benchmark::State& state) {
   Fixture& f = Fixture::Get();
   ProgressEstimator est(f.plan, f.workload.catalog.get(),
                         EstimatorOptions::Lqs());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(est.Estimate(f.snapshot));
-  }
-}
-BENCHMARK(BM_EstimateFullLqs);
-
-// The allocation-free path: same estimate as BM_EstimateFullLqs through a
-// reused Workspace + report. The delta against BM_EstimateFullLqs is what
-// per-call allocation plus the forgone incremental short-circuits cost;
-// bench/estimator_throughput measures the same split over whole traces.
-void BM_EstimateIntoReused(benchmark::State& state) {
-  Fixture& f = Fixture::Get();
-  ProgressEstimator est(f.plan, f.workload.catalog.get(),
-                        EstimatorOptions::Lqs());
   ProgressEstimator::Workspace workspace;
   ProgressReport report;
   for (auto _ : state) {
@@ -70,19 +58,22 @@ void BM_EstimateIntoReused(benchmark::State& state) {
     benchmark::DoNotOptimize(report.query_progress);
   }
 }
-BENCHMARK(BM_EstimateIntoReused);
+BENCHMARK(BM_EstimateFullLqs);
 
 // Same per-snapshot work as BM_EstimateFullLqs but routed through the
 // runtime invariant checker with its default (cheap) options — the delta
 // between the two is the cost of leaving the checker on in production
-// replay loops. Budget: under 5% on top of Estimate().
+// replay loops. Budget: under 5% on top of the estimate itself.
 void BM_EstimateFullLqsChecked(benchmark::State& state) {
   Fixture& f = Fixture::Get();
   ProgressEstimator est(f.plan, f.workload.catalog.get(),
                         EstimatorOptions::Lqs());
   ProgressInvariantChecker checker(&est);
+  ProgressEstimator::Workspace workspace;
+  ProgressReport report;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(checker.EstimateChecked(f.snapshot));
+    checker.EstimateCheckedInto(f.snapshot, &workspace, &report);
+    benchmark::DoNotOptimize(report.query_progress);
   }
   if (!checker.report().ok()) state.SkipWithError("invariant violation");
 }
@@ -98,8 +89,11 @@ void BM_EstimateFullLqsDeepChecked(benchmark::State& state) {
   InvariantCheckerOptions opts;
   opts.deep_bounds_check = true;
   ProgressInvariantChecker checker(&est, opts);
+  ProgressEstimator::Workspace workspace;
+  ProgressReport report;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(checker.EstimateChecked(f.snapshot));
+    checker.EstimateCheckedInto(f.snapshot, &workspace, &report);
+    benchmark::DoNotOptimize(report.query_progress);
   }
   if (!checker.report().ok()) state.SkipWithError("invariant violation");
 }
@@ -109,8 +103,11 @@ void BM_EstimateTgn(benchmark::State& state) {
   Fixture& f = Fixture::Get();
   ProgressEstimator est(f.plan, f.workload.catalog.get(),
                         EstimatorOptions::TotalGetNext());
+  ProgressEstimator::Workspace workspace;
+  ProgressReport report;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(est.Estimate(f.snapshot));
+    est.EstimateInto(f.snapshot, &workspace, &report);
+    benchmark::DoNotOptimize(report.query_progress);
   }
 }
 BENCHMARK(BM_EstimateTgn);

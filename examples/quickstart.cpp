@@ -100,7 +100,7 @@ int main() {
     }
     std::printf("\n");
   }
-  checker.CheckFinal(result->trace.final_snapshot);
+  checker.CheckFinal(result->trace.final_snapshot, &workspace);
   if (!checker.report().ok()) {
     std::fprintf(stderr, "%s", checker.report().ToString().c_str());
     return 1;

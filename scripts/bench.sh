@@ -7,16 +7,14 @@
 #
 #   $ scripts/bench.sh
 #
-# Output: BENCH_estimator.json, BENCH_remote.json, BENCH_monitor_scale.json,
-# BENCH_ensemble.json, and BENCH_bounds.json in the repo root (override the
-# directory with BENCH_OUT_DIR). Build directory: build-bench (override with
+# Output: BENCH_estimator.json, BENCH_remote.json, BENCH_monitor_scale.json
+# and BENCH_bounds.json in the repo root (override the directory with
+# BENCH_OUT_DIR). Build directory: build-bench (override with
 # BENCH_BUILD_DIR). CI runs this as a non-gating artifact step — numbers are
 # tracked, not asserted — but estimator_throughput exits non-zero if the
-# fresh and workspace-reusing modes ever diverge, monitor_scale --sweep
+# stateless and incremental modes ever diverge, monitor_scale --sweep
 # exits non-zero if a fleet run wedges, regresses per-session progress, or
 # the delta transport falls under its 3x bytes-per-session reduction floor,
-# ensemble_accuracy exits non-zero if the ensemble's Error_time falls
-# outside [better than worst fixed preset, 1.1x best fixed preset],
 # table1_bounds exits non-zero on any bound-soundness violation, and
 # bounds_tightness exits non-zero if intersecting LpBound with Appendix A
 # inverts any interval or regresses Error_time; those correctness failures
@@ -30,7 +28,7 @@ OUT_DIR="${BENCH_OUT_DIR:-.}"
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target estimator_throughput wire_throughput monitor_scale \
-  ensemble_accuracy table1_bounds bounds_tightness
+  table1_bounds bounds_tightness
 
 # run_family OUT_FILE BENCH...: runs each bench command, echoes its
 # deterministic lines, and writes the "BENCH {...}" payloads to OUT_FILE.
@@ -70,9 +68,6 @@ run_family "$OUT_DIR/BENCH_remote.json" \
 
 run_family "$OUT_DIR/BENCH_monitor_scale.json" \
   "$BUILD_DIR/bench/monitor_scale --sweep --threads=8"
-
-run_family "$OUT_DIR/BENCH_ensemble.json" \
-  "$BUILD_DIR/bench/ensemble_accuracy"
 
 run_family "$OUT_DIR/BENCH_bounds.json" \
   "$BUILD_DIR/bench/table1_bounds" \

@@ -39,13 +39,6 @@ void ProgressInvariantChecker::Reset() {
   snapshots_checked_ = 0;
 }
 
-ProgressReport ProgressInvariantChecker::EstimateChecked(
-    const ProfileSnapshot& snapshot) {
-  ProgressReport report = estimator_->Estimate(snapshot);
-  CheckReport(snapshot, report);
-  return report;
-}
-
 void ProgressInvariantChecker::EstimateCheckedInto(
     const ProfileSnapshot& snapshot, ProgressEstimator::Workspace* workspace,
     ProgressReport* report) {
@@ -59,7 +52,7 @@ void ProgressInvariantChecker::CheckReport(const ProfileSnapshot& snapshot,
   // Each comparison is false for NaN, so `(v >= 0) & (v <= 1)` rejects NaN
   // and both infinities without calling the classification functions; the
   // detailed per-value diagnosis runs only when something is wrong, which
-  // keeps the always-on checker within a few percent of Estimate() itself.
+  // keeps the always-on checker within a few percent of the estimate itself.
   const double q = report.query_progress;
   bool ok = (q >= 0.0) & (q <= 1.0);
   const size_t nodes = report.operator_progress.size();
@@ -207,8 +200,10 @@ void ProgressInvariantChecker::CheckBounds(const ProfileSnapshot& snapshot,
 }
 
 void ProgressInvariantChecker::CheckFinal(
-    const ProfileSnapshot& final_snapshot, double min_final_progress) {
-  ProgressReport report = estimator_->Estimate(final_snapshot);
+    const ProfileSnapshot& final_snapshot,
+    ProgressEstimator::Workspace* workspace, double min_final_progress) {
+  ProgressReport report;
+  estimator_->EstimateInto(final_snapshot, workspace, &report);
   const EstimatorOptions& opts = estimator_->options();
   // Exact completion is structurally guaranteed only for the weighted
   // pipeline aggregate: a finished pipeline root forces alpha = 1, so the

@@ -56,29 +56,27 @@ class ProgressInvariantChecker {
   explicit ProgressInvariantChecker(const ProgressEstimator* estimator,
                                     InvariantCheckerOptions options = {});
 
-  /// Runs the wrapped estimator on `snapshot` and checks the result.
-  /// Snapshots must be fed in non-decreasing time order for the
-  /// monotonicity check to be meaningful.
-  ProgressReport EstimateChecked(const ProfileSnapshot& snapshot);
-
-  /// Allocation-free form of EstimateChecked: estimates into `*report`
-  /// through the estimator's workspace-reusing path, then checks it. The
-  /// workspace follows the ProgressEstimator::Workspace contract (one per
-  /// estimator per thread); the checker itself stays allocation-free on the
-  /// happy path — issue diagnostics allocate only when a violation is found.
+  /// Runs the wrapped estimator on `snapshot` into `*report`, then checks
+  /// the result. Snapshots must be fed in non-decreasing time order for the
+  /// monotonicity check to be meaningful. The workspace follows the
+  /// ProgressEstimator::Workspace contract (one per estimator per thread);
+  /// the checker itself stays allocation-free on the happy path — issue
+  /// diagnostics allocate only when a violation is found.
   void EstimateCheckedInto(const ProfileSnapshot& snapshot,
                            ProgressEstimator::Workspace* workspace,
                            ProgressReport* report);
 
   /// Checks an externally produced report (e.g. when the caller already
-  /// paid for Estimate) without re-running the estimator.
+  /// paid for EstimateInto) without re-running the estimator.
   void CheckReport(const ProfileSnapshot& snapshot,
                    const ProgressReport& report);
 
-  /// End-of-stream checks on the final snapshot: the full LQS configuration
-  /// (driver nodes + refinement + bounding) must report exactly 1.0; every
-  /// configuration must report a sane completion value.
+  /// End-of-stream checks on the final snapshot, estimated through the
+  /// caller's `workspace` (same contract as EstimateCheckedInto): the full
+  /// LQS configuration (driver nodes + refinement + bounding) must report
+  /// exactly 1.0; every configuration must report a sane completion value.
   void CheckFinal(const ProfileSnapshot& final_snapshot,
+                  ProgressEstimator::Workspace* workspace,
                   double min_final_progress = 0.0);
 
   const ValidationReport& report() const { return report_; }

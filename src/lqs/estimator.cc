@@ -126,12 +126,12 @@ uint64_t EstimatorOptions::PackBits() const {
        {use_driver_nodes, refine_cardinality, bound_cardinality,
         semi_blocking_adjust, two_phase_blocking, use_weights,
         critical_path_only, storage_predicate_io, batch_mode_segments,
-        interpolate_refinement, propagate_refinement, incremental,
-        ensemble}) {
+        interpolate_refinement, propagate_refinement, incremental}) {
     if (flag) bits |= uint64_t{1} << shift;
     ++shift;
   }
-  // Bits 13-14: the bounds-engine selector (three engine kinds).
+  // Bit 12 is unused; bits 13-14: the bounds-engine selector (three engine
+  // kinds).
   bits |= static_cast<uint64_t>(bounds_engine) << 13;
   return bits | (refine_min_rows << 16);
 }
@@ -676,17 +676,6 @@ void ProgressEstimator::PipelineWeightsInto(const std::vector<double>& n_hat,
       ws->weight_frozen[p.id] = 1;
     }
   }
-}
-
-ProgressReport ProgressEstimator::Estimate(
-    const ProfileSnapshot& snapshot) const {
-  // The internal workspace binds on the first call and is reused after, so
-  // repeated one-shot calls allocate only for the returned report. This is
-  // the single-owner consequence documented in the header: concurrent
-  // Estimate() on a shared estimator would race on estimate_workspace_.
-  ProgressReport report;
-  EstimateInto(snapshot, &estimate_workspace_, &report);
-  return report;
 }
 
 void ProgressEstimator::EstimateInto(const ProfileSnapshot& snapshot,

@@ -62,15 +62,6 @@ struct EstimatorOptions {
   /// (enforced by tests/estimator_workspace_test.cc); the flag exists so
   /// bench/estimator_throughput can measure both cost profiles in one run.
   bool incremental = true;
-  /// Monitor-layer mode switch, not an estimation technique: a session
-  /// registered with this set runs the robust EnsembleEstimator
-  /// (src/ensemble/) over the default candidate set — all four presets
-  /// below plus parameter variants — instead of one estimator built from
-  /// the flags above. Only `incremental` is forwarded to the candidates;
-  /// the other flags are ignored in ensemble mode. Packed as cache-key
-  /// bit 12 so ensemble and single-estimator sessions never alias one
-  /// monitor cache slot.
-  bool ensemble = false;
   /// Which bounding engine(s) derive the cardinality corridor the online
   /// clamp uses when `bound_cardinality` is set (src/lqs/bounds.h). The
   /// default reproduces the paper's Appendix A derivation bit-exactly;
@@ -92,9 +83,9 @@ struct EstimatorOptions {
   static EstimatorOptions Lqs();
 
   /// Shared preset registry over the four §5 configurations above — the
-  /// one list benches, tests, the monitor cache key and the ensemble
-  /// candidate set all draw from. Indexes are stable and part of the
-  /// bench-output contract: 0="tgn", 1="bounding", 2="refined", 3="lqs".
+  /// one list benches and tests draw from. Indexes are stable and part of
+  /// the bench-output contract: 0="tgn", 1="bounding", 2="refined",
+  /// 3="lqs".
   static constexpr int kPresetCount = 4;
   /// Canonical short name of preset `index`; aborts on an out-of-range
   /// index (a registry bug, not an input condition).
@@ -104,15 +95,14 @@ struct EstimatorOptions {
   /// Parses a canonical preset name; returns false and leaves `*out`
   /// untouched on an unknown name. A registry name with an `_lp` suffix
   /// (e.g. "lqs_lp") resolves to the base preset with
-  /// `bounds_engine = kIntersect` — the LpBound-tightened clamp variants
-  /// the ensemble candidate pool draws from.
+  /// `bounds_engine = kIntersect` — the LpBound-tightened clamp variants.
   static bool PresetFromName(std::string_view name, EstimatorOptions* out);
 
   /// Packs every option field into one integer: two option sets pack
   /// equal iff they configure identical behaviour. The monitor's
-  /// estimator-cache key and the ensemble cache key are built from this,
-  /// so any new option MUST be packed here too — an unpacked flag would
-  /// alias distinct configurations onto one cached estimator.
+  /// estimator-cache key is built from this, so any new option MUST be
+  /// packed here too — an unpacked flag would alias distinct
+  /// configurations onto one cached estimator.
   uint64_t PackBits() const;
 };
 
@@ -150,7 +140,8 @@ class ProgressEstimator {
   ///    one cached estimator across parallel sessions).
   ///  - every frozen entry is validated against the CURRENT snapshot's
   ///    `finished` flags before reuse, so snapshots may still be replayed
-  ///    in any order, exactly like the stateless Estimate().
+  ///    in any order: a reused workspace reports exactly what a fresh one
+  ///    would.
   struct Workspace {
     /// Observability counters (cumulative since construction).
     struct Stats {
@@ -199,24 +190,11 @@ class ProgressEstimator {
   ProgressEstimator(const Plan* plan, const Catalog* catalog,
                     EstimatorOptions options);
 
-  /// Computes query and operator progress from one DMV snapshot. Output is
-  /// stateless (all estimation state is in the snapshot), so snapshots may
-  /// be replayed in any order. Thin compatibility wrapper over EstimateInto
-  /// against a lazily-initialized internal Workspace, so one-shot callers
-  /// stay off the hot-path allocation counter instead of constructing
-  /// scratch per call.
-  ///
-  /// Single-owner consequence: because the internal workspace is shared by
-  /// every Estimate() call on this estimator, concurrent Estimate() calls
-  /// on one shared estimator are NOT safe. Concurrent callers must each
-  /// hold their own Workspace and use EstimateInto — exactly how
-  /// MonitorService shares one cached estimator across parallel sessions.
-  ProgressReport Estimate(const ProfileSnapshot& snapshot) const;
-
-  /// Allocation-free form of Estimate: writes the report into `*report`
-  /// (vectors are re-sized in place, reusing capacity) using `*workspace`
-  /// for all intermediate state. Produces bit-identical reports to
-  /// Estimate() for any snapshot order; see the Workspace contract above.
+  /// Computes query and operator progress from one DMV snapshot into
+  /// `*report` (vectors are re-sized in place, reusing capacity), using
+  /// `*workspace` for all intermediate state. Output is stateless (all
+  /// estimation state is in the snapshot), so snapshots may be replayed in
+  /// any order; see the Workspace contract above.
   /// LQS_NOALLOC: steady-state calls must stay heap-free — statically
   /// checked by tools/lqs_verify (noalloc), dynamically by
   /// tests/estimator_alloc_test.cc. LQS_DETERMINISTIC: the same snapshot
@@ -308,11 +286,6 @@ class ProgressEstimator {
   EstimatorOptions options_;
   PlanAnalysis analysis_;
   const CostFeedback* feedback_ = nullptr;
-  /// Scratch behind the Estimate() compatibility wrapper, sized lazily on
-  /// its first call. This is what makes concurrent Estimate() on a shared
-  /// estimator unsafe (see the wrapper's contract above); EstimateInto
-  /// never touches it.
-  mutable Workspace estimate_workspace_;
 };
 
 }  // namespace lqs

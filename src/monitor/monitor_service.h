@@ -16,7 +16,6 @@
 #include "common/noalloc.h"
 #include "common/thread_annotations.h"
 #include "dmv/query_profile.h"
-#include "ensemble/ensemble.h"
 #include "exec/plan.h"
 #include "lqs/estimator.h"
 #include "monitor/latency_reservoir.h"
@@ -86,19 +85,6 @@ struct SessionStatus {
   /// old.
   bool degraded = false;
   int consecutive_failures = 0;
-
-  // --- Ensemble view (EstimatorOptions::ensemble sessions only) ---
-  /// True when the session runs the robust EnsembleEstimator instead of a
-  /// single configuration; `report` then holds the selected candidate's
-  /// full report and `progress` the ensemble's headline progress.
-  bool ensemble = false;
-  /// Selected candidate (index + name in the ensemble's candidate pool).
-  int ensemble_winner = -1;
-  const char* ensemble_winner_name = "";
-  /// Uncertainty band across the trusted candidates, [0, 1]; always
-  /// brackets `progress`. Zero-width for non-ensemble sessions.
-  double band_lo = 0;
-  double band_hi = 0;
 };
 
 /// Aggregate counters across the life of one MonitorService.
@@ -165,27 +151,7 @@ struct MonitorStats {
   uint64_t delta_resyncs = 0;
   uint64_t request_id_mismatches = 0;
 
-  // --- Ensemble aggregates (EstimatorOptions::ensemble sessions only) ---
-  size_t ensemble_sessions = 0;
-  /// Distinct cached EnsembleEstimators (own cache beside the estimator
-  /// cache, keyed the same way).
-  size_t ensembles_cached = 0;
-  /// Candidate EstimateInto calls issued by ensemble sessions (candidate
-  /// count × ensemble estimates).
-  uint64_t ensemble_candidate_estimates = 0;
-  /// Winner changes across all ensemble sessions (hysteresis flap gauge).
-  uint64_t ensemble_switches = 0;
-  /// Per-candidate aggregates summed over ensemble sessions, indexed like
-  /// the candidate pool (names resolve the indexes). Empty until the first
-  /// ensemble estimate.
-  std::vector<std::string> ensemble_candidate_names;
-  /// Cumulative per-candidate estimate latency (the per-candidate cost
-  /// split of the ensemble's estimate_wall share).
-  std::vector<double> ensemble_candidate_latency_ms;
-  /// Ticks each candidate spent as some session's selected winner.
-  std::vector<uint64_t> ensemble_selected_ticks;
-
-  // --- Bounds-engine aggregates (single-estimator sessions whose
+  // --- Bounds-engine aggregates (sessions whose
   //     EstimatorOptions::bounds_engine is not the Appendix-A default) ---
   /// Sessions running a non-default bounding engine.
   size_t lp_bounds_sessions = 0;
@@ -210,10 +176,7 @@ struct MonitorStats {
 /// shared across sessions — safely, because estimators are const after
 /// construction and every session drives EstimateInto through its own
 /// private Workspace — while the per-session ProgressInvariantChecker state
-/// stays private to its session. Sessions registered with
-/// EstimatorOptions::ensemble run a cached EnsembleEstimator (every preset
-/// at once, online selection + uncertainty band) under the same sharing
-/// rule.
+/// stays private to its session.
 ///
 /// Determinism contract: results depend only on the registered sessions and
 /// the tick times, never on options.num_threads or scheduling. Work is
@@ -327,41 +290,19 @@ class MonitorService {
     /// exactly one pool worker per tick and ticks are ordered by the
     /// ParallelFor barrier (the same ownership rule as `checker`/`client`).
     ProgressEstimator::Workspace workspace;
-    /// Ensemble-mode sessions estimate through this instead of `estimator`
-    /// (which is then null). Same cache-shared/const + per-session-workspace
-    /// split as the plain path. `ensemble_report` is the session-owned
-    /// output buffer, reused across ticks so the ensemble's per-candidate
-    /// vectors never reallocate in steady state. Ensemble sessions carry no
-    /// ProgressInvariantChecker: a winner switch may legitimately move
-    /// refined cardinalities non-monotonically between ticks (each
-    /// candidate is individually monotone, the selection is not), so the
-    /// per-estimator invariants don't apply — the ensemble's own
-    /// invariants (band brackets selection, band within [0,1]) are
-    /// enforced by tests/ensemble_test.cc instead.
-    const EnsembleEstimator* ensemble = nullptr;  // owned by ensemble_cache_
-    EnsembleEstimator::Workspace ensemble_workspace;
-    EnsembleReport ensemble_report;
   };
 
   /// Cache key: estimator identity is the plan + catalog + the full option
   /// set, packed to an integer via EstimatorOptions::PackBits (all fields
-  /// are flags plus one threshold; the ensemble mode flag is one of the
-  /// packed bits, so ensemble and single-estimator sessions never alias a
-  /// cache slot).
+  /// are flags, one engine selector and one threshold).
   using EstimatorKey = std::tuple<const Plan*, const Catalog*, uint64_t>;
   const ProgressEstimator* CachedEstimator(const Plan* plan,
                                            const Catalog* catalog,
                                            const EstimatorOptions& options);
-  /// Ensemble twin of CachedEstimator: one shared EnsembleEstimator per
-  /// (plan, catalog, packed options). Only `incremental` of the session's
-  /// options reaches the candidates (see EstimatorOptions::ensemble).
-  const EnsembleEstimator* CachedEnsemble(const Plan* plan,
-                                          const Catalog* catalog,
-                                          const EstimatorOptions& options);
 
   /// Registration body shared by the local and remote entry points: exactly
-  /// one of `trace` and `client` is non-null. Binds the cached estimator or
-  /// ensemble, the invariant checker, and the stats mirrors.
+  /// one of `trace` and `client` is non-null. Binds the cached estimator and
+  /// the invariant checker, and publishes the registration counts.
   int AddSession(std::string name, const Plan* plan, const Catalog* catalog,
                  const ProfileTrace* trace,
                  std::unique_ptr<PollingClient> client, double start_offset_ms,
@@ -392,13 +333,11 @@ class MonitorService {
   /// Driver-thread-only by the documented threading contract: registration
   /// and Tick() happen on one thread; pool workers touch disjoint per-
   /// session slots between fan-out and barrier. stats() never reads these —
-  /// it reads the guarded mirror counters below.
-  // lqs-verify: guard-ok(driver-owned; stats() reads guarded mirrors)
+  /// it reads `published_` below.
+  // lqs-verify: guard-ok(driver-owned; stats() reads published_)
   std::vector<Session> sessions_;
-  // lqs-verify: guard-ok(driver-owned; stats() reads guarded mirrors)
+  // lqs-verify: guard-ok(driver-owned; stats() reads published_)
   std::map<EstimatorKey, std::unique_ptr<ProgressEstimator>> estimator_cache_;
-  // lqs-verify: guard-ok(driver-owned; stats() reads guarded mirrors)
-  std::map<EstimatorKey, std::unique_ptr<EnsembleEstimator>> ensemble_cache_;
 
   /// Guards the counters behind stats(). The driver updates them at
   /// registration and once per tick after the ParallelFor barrier (never
@@ -406,47 +345,19 @@ class MonitorService {
   /// that nesting legal); any thread may read them through stats().
   mutable Mutex stats_mu_{lock_rank::kMonitorStats,
                           "MonitorService::stats_mu_"};
-  /// Mirrors of driver-owned container sizes, so stats() can report them
-  /// without racing a concurrent RegisterSession (sessions_.push_back and
-  /// map::emplace are not readable mid-mutation from another thread).
-  size_t sessions_registered_ LQS_GUARDED_BY(stats_mu_) = 0;
-  size_t estimators_cached_ LQS_GUARDED_BY(stats_mu_) = 0;
-  size_t remote_sessions_ LQS_GUARDED_BY(stats_mu_) = 0;
-  uint64_t ticks_ LQS_GUARDED_BY(stats_mu_) = 0;
-  uint64_t reports_computed_ LQS_GUARDED_BY(stats_mu_) = 0;
-  size_t last_active_ LQS_GUARDED_BY(stats_mu_) = 0;
-  size_t last_waiting_ LQS_GUARDED_BY(stats_mu_) = 0;
-  size_t last_done_ LQS_GUARDED_BY(stats_mu_) = 0;
-  double wall_ms_ LQS_GUARDED_BY(stats_mu_) = 0;
-  double estimate_wall_ms_ LQS_GUARDED_BY(stats_mu_) = 0;
-  double max_estimate_latency_ms_ LQS_GUARDED_BY(stats_mu_) = 0;
-  double last_tick_estimate_ms_ LQS_GUARDED_BY(stats_mu_) = 0;
+  /// The counters stats() returns, written by AddSession and Tick(). Copies
+  /// of driver-owned sizes and totals live here, not in sessions_ or the
+  /// cache, so stats() never races a concurrent RegisterSession or Tick()
+  /// (sessions_.push_back and map::emplace are not readable mid-mutation
+  /// from another thread). The thread count, rates and percentiles are
+  /// derived in stats().
+  MonitorStats published_ LQS_GUARDED_BY(stats_mu_);
   /// Latency distributions behind the published p50/p95: fixed-capacity
   /// reservoir samples, not grow-forever vectors — a service that ticks
   /// indefinitely must hold its stats in O(1) memory (and Add() must not
   /// allocate inside the tick's budget, see latency_reservoir.h).
   LatencyReservoir estimate_latencies_ms_ LQS_GUARDED_BY(stats_mu_);
   LatencyReservoir tick_latencies_ms_ LQS_GUARDED_BY(stats_mu_);
-  /// Transport aggregates, recomputed by the driver after each tick's
-  /// barrier from the per-session clients and published here for stats().
-  size_t last_degraded_ LQS_GUARDED_BY(stats_mu_) = 0;
-  ClientStats transport_totals_ LQS_GUARDED_BY(stats_mu_);
-  /// Ensemble aggregates, recomputed from the per-session ensemble
-  /// workspaces under the same post-barrier quiescence rule.
-  size_t ensemble_sessions_ LQS_GUARDED_BY(stats_mu_) = 0;
-  size_t ensembles_cached_ LQS_GUARDED_BY(stats_mu_) = 0;
-  uint64_t ensemble_candidate_estimates_ LQS_GUARDED_BY(stats_mu_) = 0;
-  uint64_t ensemble_switches_ LQS_GUARDED_BY(stats_mu_) = 0;
-  std::vector<std::string> ensemble_candidate_names_
-      LQS_GUARDED_BY(stats_mu_);
-  std::vector<double> ensemble_candidate_latency_ms_
-      LQS_GUARDED_BY(stats_mu_);
-  std::vector<uint64_t> ensemble_selected_ticks_ LQS_GUARDED_BY(stats_mu_);
-  /// Bounds-engine aggregates, recomputed from the per-session estimator
-  /// workspaces under the same post-barrier quiescence rule.
-  size_t lp_bounds_sessions_ LQS_GUARDED_BY(stats_mu_) = 0;
-  uint64_t bounds_lp_tightenings_ LQS_GUARDED_BY(stats_mu_) = 0;
-  uint64_t bounds_intersection_inversions_ LQS_GUARDED_BY(stats_mu_) = 0;
 };
 
 }  // namespace lqs

@@ -333,110 +333,20 @@ TEST_F(EstimatorAllocTest, MonitorTickStaysWithinAllocationBudget) {
 }
 
 TEST_F(EstimatorAllocTest, FreshEstimateAllocatesAsExpected) {
-  // Sanity check on the instrument itself: the compatibility wrapper sizes
-  // its lazily-initialized internal workspace on the first call and returns
-  // a report by value, so the first call MUST allocate. If this ever reads
-  // zero the counting overrides are not linked in and the zero-allocation
-  // tests above are vacuous.
+  // Sanity check on the instrument itself: the first EstimateInto into a
+  // new workspace and report sizes every buffer, so it MUST allocate. If
+  // this ever reads zero the counting overrides are not linked in and the
+  // zero-allocation tests above are vacuous.
   Plan plan = Annotated(Sort(Scan("t_big"), {2}));
   auto result = MustExecute(plan, catalog_.get());
   ProgressEstimator estimator(&plan, catalog_.get(), EstimatorOptions::Lqs());
+  ProgressEstimator::Workspace workspace;
+  ProgressReport report;
 
   AllocationWindow window;
-  ProgressReport report = estimator.Estimate(result.trace.final_snapshot);
+  estimator.EstimateInto(result.trace.final_snapshot, &workspace, &report);
   EXPECT_GT(window.count(), 0u);
   EXPECT_GT(report.query_progress, 0.99);
-  // Repeat calls reuse the internal workspace: the only remaining per-call
-  // cost is the by-value report (its vectors), a small constant — the
-  // wrapper must stay off the per-call workspace-construction price.
-  const uint64_t first_call = window.count();
-  ProgressReport again = estimator.Estimate(result.trace.final_snapshot);
-  EXPECT_LT(window.count() - first_call, first_call);
-  EXPECT_EQ(again.query_progress, report.query_progress);
-}
-
-TEST_F(EstimatorAllocTest, SteadyStateEnsembleEstimateAllocatesNothing) {
-  // The ensemble audit: after the first (sizing) call has bound every
-  // candidate workspace, grown the score rings and sized the report's
-  // per-candidate vectors, a steady-state ensemble tick — all candidates
-  // estimated, scored, selected, band computed — must perform ZERO heap
-  // allocations, over a whole recorded trace.
-  Plan plan = Annotated(
-      Sort(HashAgg(HashJoin(JoinKind::kInner, Scan("t_small"),
-                            CsScan("t_big"), {0}, {1}),
-                   {2}, {Count()}),
-           {0}));
-  ExecOptions exec;
-  exec.snapshot_interval_ms = 2.0;
-  auto result = MustExecute(plan, catalog_.get(), exec);
-  ASSERT_GT(result.trace.snapshots.size(), 5u);
-
-  EnsembleEstimator ensemble(&plan, catalog_.get(), EnsembleOptions{});
-  EnsembleEstimator::Workspace workspace;
-  EnsembleReport report;
-  ensemble.EstimateInto(result.trace.final_snapshot, &workspace, &report);
-
-  AllocationWindow window;
-  for (const ProfileSnapshot& snap : result.trace.snapshots) {
-    ensemble.EstimateInto(snap, &workspace, &report);
-  }
-  ensemble.EstimateInto(result.trace.final_snapshot, &workspace, &report);
-  // Runtime side of the static contract (src/ensemble/ensemble.h): the
-  // replay drives every candidate's estimation, the scoring rings and the
-  // hysteresis selection.
-  // LQS_NOALLOC_PAIRED: EnsembleEstimator::EstimateInto
-  // LQS_NOALLOC_PAIRED: CandidateScore::Observe
-  // LQS_NOALLOC_PAIRED: CandidateScore::Score
-  // LQS_NOALLOC_PAIRED: HysteresisSelector::Update
-  EXPECT_EQ(window.count(), 0u)
-      << "steady-state ensemble EstimateInto performed heap allocations";
-}
-
-TEST_F(EstimatorAllocTest, MonitorEnsembleTickStaysWithinAllocationBudget) {
-  // Monitor-layer audit of the ensemble path: ensemble sessions reuse their
-  // session-owned EnsembleReport across ticks, so a steady-state Tick() of
-  // ensemble sessions has the same allocation envelope as plain ones — the
-  // returned statuses (by-value vector + report-vector copies per session),
-  // never per-candidate estimation state.
-  Plan plan = Annotated(
-      HashAgg(HashJoin(JoinKind::kInner, Scan("t_small"), Scan("t_big"), {0},
-                       {1}),
-              {2}, {Count()}));
-  ExecOptions exec;
-  exec.snapshot_interval_ms = 2.0;
-  auto result = MustExecute(plan, catalog_.get(), exec);
-
-  EstimatorOptions ensemble_mode;
-  ensemble_mode.ensemble = true;
-  constexpr size_t kSessions = 4;
-  MonitorService monitor;
-  for (size_t i = 0; i < kSessions; ++i) {
-    monitor.RegisterSession("e" + std::to_string(i), &plan, catalog_.get(),
-                            &result.trace, 3.0 * static_cast<double>(i),
-                            ensemble_mode);
-  }
-  const double horizon = monitor.HorizonMs();
-  constexpr int kWarmupTicks = 4;
-  constexpr int kMeasuredTicks = 40;
-  const double step = horizon / (kWarmupTicks + kMeasuredTicks + 1);
-  double now = 0;
-  for (int i = 0; i < kWarmupTicks; ++i) {
-    now += step;
-    (void)monitor.Tick(now);
-  }
-
-  AllocationWindow window;
-  for (int i = 0; i < kMeasuredTicks; ++i) {
-    now += step;
-    (void)monitor.Tick(now);
-  }
-  // Same per-session envelope as MonitorTickStaysWithinAllocationBudget
-  // plus the post-barrier ensemble aggregation's fixed-size vectors.
-  const uint64_t per_tick_budget = 8 * kSessions + 96;
-  EXPECT_LE(window.count(),
-            per_tick_budget * static_cast<uint64_t>(kMeasuredTicks))
-      << "steady-state ensemble monitor ticks allocated "
-      << window.count() / kMeasuredTicks << " times per tick";
 }
 
 }  // namespace

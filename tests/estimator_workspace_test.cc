@@ -1,10 +1,10 @@
 // Golden equivalence of the workspace-reusing estimation engine: for every
 // §5 preset, over executed TPC-H and TPC-DS traces, EstimateInto with a
-// reused Workspace must produce reports bit-identical (exact doubles) to the
-// stateless Estimate(), in forward AND out-of-order replay, with the
-// incremental short-circuits on or off. Plus the freeze regressions: bounds
-// are not re-derived for finished operators, and the alpha/weight freezes
-// actually engage on real traces.
+// reused Workspace must produce reports bit-identical (exact doubles) to a
+// stateless estimate into a fresh Workspace, in forward AND out-of-order
+// replay, with the incremental short-circuits on or off. Plus the freeze
+// regressions: bounds are not re-derived for finished operators, and the
+// alpha/weight freezes actually engage on real traces.
 
 #include <algorithm>
 #include <random>
@@ -121,7 +121,9 @@ class EstimatorWorkspaceTest : public ::testing::Test {
   }
 
   /// Replays `trace` (snapshots in `order`, then the final snapshot)
-  /// through both paths and asserts bit-identity snapshot by snapshot.
+  /// through one reused workspace and asserts bit-identity, snapshot by
+  /// snapshot, with the stateless oracle: a fresh workspace per snapshot,
+  /// which carries no freeze state from earlier calls.
   static void ExpectReplayIdentical(const Plan& plan, const Catalog& catalog,
                                     const ProfileTrace& trace,
                                     const std::vector<size_t>& order,
@@ -131,7 +133,9 @@ class EstimatorWorkspaceTest : public ::testing::Test {
     ProgressEstimator::Workspace workspace;
     ProgressReport reused;
     auto check = [&](const ProfileSnapshot& snap, size_t label) {
-      const ProgressReport fresh = estimator.Estimate(snap);
+      ProgressEstimator::Workspace stateless;
+      ProgressReport fresh;
+      estimator.EstimateInto(snap, &stateless, &fresh);
       estimator.EstimateInto(snap, &workspace, &reused);
       ExpectReportsIdentical(
           fresh, reused, context + " snapshot#" + std::to_string(label));

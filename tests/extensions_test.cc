@@ -71,9 +71,15 @@ TEST_F(ExtensionsTest, PropagationScalesUnstartedParents) {
   on.propagate_refinement = true;
   ProgressEstimator est_off(&plan, catalog_.get(), off);
   ProgressEstimator est_on(&plan, catalog_.get(), on);
-  double filter_refined = est_on.Estimate(*mid).refined_rows[2];
-  double agg_off = est_off.Estimate(*mid).refined_rows[1];
-  double agg_on = est_on.Estimate(*mid).refined_rows[1];
+  ProgressEstimator::Workspace ws_off;
+  ProgressEstimator::Workspace ws_on;
+  ProgressReport r_off;
+  ProgressReport r_on;
+  est_off.EstimateInto(*mid, &ws_off, &r_off);
+  est_on.EstimateInto(*mid, &ws_on, &r_on);
+  double filter_refined = r_on.refined_rows[2];
+  double agg_off = r_off.refined_rows[1];
+  double agg_on = r_on.refined_rows[1];
   // The filter's refinement (~500) must pull the aggregate estimate down
   // when propagation is on; without it the aggregate keeps its scaled
   // showplan estimate derived from 10000 input rows.
@@ -120,8 +126,10 @@ TEST_F(ExtensionsTest, FeedbackPlugsIntoEstimator) {
   ProgressEstimator est(&plan, catalog_.get(), EstimatorOptions::Lqs());
   est.SetCostFeedback(&feedback);
   // Estimation still well-formed with feedback applied.
+  ProgressEstimator::Workspace ws;
+  ProgressReport r;
   for (const auto& snap : result.trace.snapshots) {
-    ProgressReport r = est.Estimate(snap);
+    est.EstimateInto(snap, &ws, &r);
     EXPECT_GE(r.query_progress, 0.0);
     EXPECT_LE(r.query_progress, 1.0);
   }

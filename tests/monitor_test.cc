@@ -214,6 +214,40 @@ TEST_F(MonitorTest, StatsLatenciesAndThroughputArePopulated) {
   EXPECT_GT(stats.num_threads, 0);
 }
 
+TEST_F(MonitorTest, StatsCarryLifetimeTotalsAndRecountEachTick) {
+  // Each Tick() publishes a fresh recount of the session states while the
+  // registration counts and lifetime totals carry over: reports_computed
+  // sums every tick's estimates, active/waiting/done describe the latest
+  // tick only.
+  Plan plan = Annotated(Sort(Scan("t_big"), {2}));
+  ExecutionResult result = Run(plan);
+  MonitorService monitor;
+  for (int i = 0; i < 3; ++i) {
+    monitor.RegisterSession(StringF("q%d", i), &plan, catalog_.get(),
+                            &result.trace, 5.0 * i);
+  }
+  const double horizon = monitor.HorizonMs();
+  uint64_t estimates = 0;
+  for (int i = 1; i <= 8; ++i) {
+    const std::vector<SessionStatus> statuses =
+        monitor.Tick(horizon * i / 8);
+    size_t running = 0;
+    for (const SessionStatus& s : statuses) {
+      if (s.state != SessionState::kRunning) continue;
+      ++running;
+      if (s.snapshot != nullptr) ++estimates;
+    }
+    const MonitorStats stats = monitor.stats();
+    EXPECT_EQ(stats.active, running) << "tick " << i;
+    EXPECT_EQ(stats.active + stats.waiting + stats.done, 3u) << "tick " << i;
+    EXPECT_EQ(stats.reports_computed, estimates) << "tick " << i;
+    EXPECT_EQ(stats.ticks, static_cast<uint64_t>(i));
+    EXPECT_EQ(stats.sessions, 3u);
+    EXPECT_EQ(stats.estimators_cached, 1u);
+  }
+  EXPECT_GT(estimates, 3u);
+}
+
 // Regression test for the accumulated-tick drift bug. With tick_ms = 6.7 —
 // inexact in binary — 3000 repeated additions accumulate to
 // 20100.000000001135, which is past horizon + 1e-9, so the drifting loop

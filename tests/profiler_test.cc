@@ -202,14 +202,17 @@ TEST_F(ProfilerTest, EstimateReplayIsOrderIndependent) {
   ExecutionResult result = MustExecute(plan, catalog_.get(), exec);
   ASSERT_GT(result.trace.snapshots.size(), 3u);
   ProgressEstimator est(&plan, catalog_.get(), EstimatorOptions::Lqs());
+  // One workspace serves both passes: the reverse replay must not see the
+  // freeze state the forward pass left behind.
+  ProgressEstimator::Workspace workspace;
 
-  std::vector<ProgressReport> forward;
-  forward.reserve(result.trace.snapshots.size());
-  for (const auto& snap : result.trace.snapshots) {
-    forward.push_back(est.Estimate(snap));
+  std::vector<ProgressReport> forward(result.trace.snapshots.size());
+  for (size_t i = 0; i < forward.size(); ++i) {
+    est.EstimateInto(result.trace.snapshots[i], &workspace, &forward[i]);
   }
+  ProgressReport replayed;
   for (size_t i = result.trace.snapshots.size(); i-- > 0;) {
-    ProgressReport replayed = est.Estimate(result.trace.snapshots[i]);
+    est.EstimateInto(result.trace.snapshots[i], &workspace, &replayed);
     EXPECT_DOUBLE_EQ(replayed.query_progress, forward[i].query_progress);
     ASSERT_EQ(replayed.operator_progress.size(),
               forward[i].operator_progress.size());

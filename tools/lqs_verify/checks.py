@@ -191,12 +191,11 @@ class _Visibility:
 _PAIRED = re.compile(r"LQS_NOALLOC_PAIRED:\s*([A-Za-z_][\w:]*)")
 
 # Functions whose allocation-freedom the acceptance criteria rely on (zero
-# steady-state allocations per estimate / ensemble tick). A whole-tree run
-# fails if any of these loses its LQS_NOALLOC marker — the symmetric
-# guarantee to REQUIRED_DETERMINISTIC below.
+# steady-state allocations per estimate). A whole-tree run fails if any of
+# these loses its LQS_NOALLOC marker — the symmetric guarantee to
+# REQUIRED_DETERMINISTIC below.
 REQUIRED_NOALLOC: Tuple[str, ...] = (
     "ProgressEstimator::EstimateInto",
-    "EnsembleEstimator::EstimateInto",
     # The bounds-engine pipeline (PR 10): both the dispatcher and the
     # LpBound engine sit on the per-snapshot hot path of every bounding
     # estimator configuration.
@@ -395,13 +394,11 @@ DEFAULT_LAYERS: Dict[str, Set[str]] = {
     "exec": {"common", "dmv", "storage"},
     "optimizer": {"common", "dmv", "exec", "storage"},
     "lqs": {"common", "dmv", "exec", "storage"},
-    "ensemble": {"common", "dmv", "exec", "storage", "lqs"},
     "analysis": {"common", "dmv", "exec", "storage", "lqs"},
     "remote": {"common", "dmv", "exec", "storage"},
     "workload": {"common", "dmv", "exec", "optimizer", "storage"},
     "monitor": {
-        "common", "dmv", "exec", "storage", "lqs", "ensemble", "analysis",
-        "remote"
+        "common", "dmv", "exec", "storage", "lqs", "analysis", "remote"
     },
 }
 
@@ -805,7 +802,6 @@ def check_locks(model: SourceModel, root: str) -> List[Finding]:
 # of these loses its LQS_DETERMINISTIC marker.
 REQUIRED_DETERMINISTIC: Tuple[str, ...] = (
     "ProgressEstimator::EstimateInto",
-    "EnsembleEstimator::EstimateInto",
     "EncodeSnapshot",
     "DecodeSnapshot",
     "EncodeTrace",

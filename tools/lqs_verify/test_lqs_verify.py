@@ -152,7 +152,6 @@ class PairingTest(unittest.TestCase):
     HEADERS = [
         os.path.join(REPO_ROOT, "src", "lqs", "estimator.h"),
         os.path.join(REPO_ROOT, "src", "lqs", "bounds.h"),
-        os.path.join(REPO_ROOT, "src", "ensemble", "ensemble.h"),
         os.path.join(REPO_ROOT, "src", "monitor", "monitor_service.h"),
     ]
     PAIRING = os.path.join(REPO_ROOT, "tests", "estimator_alloc_test.cc")
@@ -419,7 +418,6 @@ class DeterminismRequiredRootsTest(unittest.TestCase):
     HEADERS = [
         os.path.join(REPO_ROOT, "src", "lqs", "estimator.h"),
         os.path.join(REPO_ROOT, "src", "lqs", "bounds.h"),
-        os.path.join(REPO_ROOT, "src", "ensemble", "ensemble.h"),
         os.path.join(REPO_ROOT, "src", "remote", "wire.h"),
         os.path.join(REPO_ROOT, "src", "monitor", "monitor_service.h"),
     ]
@@ -477,16 +475,6 @@ class DeterminismRequiredRootsTest(unittest.TestCase):
         self.assertIn("MonitorService::ComputeStatus",
                       findings[0].message)
 
-    def test_reverting_the_ensemble_marker_is_a_finding(self):
-        findings = self.findings_with(self.strip_marker(
-            "ensemble.h",
-            "LQS_NOALLOC LQS_DETERMINISTIC void EstimateInto",
-            "LQS_NOALLOC void EstimateInto"))
-        self.assertEqual(len(findings), 1,
-                         [f.render() for f in findings])
-        self.assertIn("EnsembleEstimator::EstimateInto",
-                      findings[0].message)
-
 
 class NoallocRequiredRootsTest(unittest.TestCase):
     """The LQS_NOALLOC required-root contract, symmetric to the
@@ -496,7 +484,6 @@ class NoallocRequiredRootsTest(unittest.TestCase):
     HEADERS = [
         os.path.join(REPO_ROOT, "src", "lqs", "estimator.h"),
         os.path.join(REPO_ROOT, "src", "lqs", "bounds.h"),
-        os.path.join(REPO_ROOT, "src", "ensemble", "ensemble.h"),
     ]
 
     def findings_with(self, read_text=None):
@@ -535,16 +522,6 @@ class NoallocRequiredRootsTest(unittest.TestCase):
         self.assertIn("ProgressEstimator::EstimateInto",
                       findings[0].message)
 
-    def test_reverting_the_ensemble_marker_is_a_finding(self):
-        findings = self.findings_with(self.strip_marker(
-            "ensemble.h",
-            "LQS_NOALLOC LQS_DETERMINISTIC void EstimateInto",
-            "LQS_DETERMINISTIC void EstimateInto"))
-        self.assertEqual(len(findings), 1,
-                         [f.render() for f in findings])
-        self.assertIn("EnsembleEstimator::EstimateInto",
-                      findings[0].message)
-
 
 class LocksAnnotationRevertTest(unittest.TestCase):
     """Reverting a MonitorService stats annotation must be a coverage
@@ -567,9 +544,8 @@ class LocksAnnotationRevertTest(unittest.TestCase):
                 text = handle.read()
             if path.endswith("monitor_service.h"):
                 new = text.replace(
-                    "size_t sessions_registered_ "
-                    "LQS_GUARDED_BY(stats_mu_) = 0;",
-                    "size_t sessions_registered_ = 0;")
+                    "MonitorStats published_ LQS_GUARDED_BY(stats_mu_);",
+                    "MonitorStats published_;")
                 assert new != text, "revert pattern missed"
                 return new
             return text
@@ -581,7 +557,7 @@ class LocksAnnotationRevertTest(unittest.TestCase):
         self.assertEqual(len(findings), 1,
                          [f.render() for f in findings])
         self.assertIn("no GUARDED_BY annotation", findings[0].message)
-        self.assertIn("sessions_registered_", findings[0].message)
+        self.assertIn("published_", findings[0].message)
 
 
 class LayeringFixtureTest(unittest.TestCase):
@@ -597,12 +573,13 @@ class LayeringFixtureTest(unittest.TestCase):
         self.assertEqual(by_file[bad].line, line_of(bad, "lqs/progress.h"))
         self.assertIn("may not include 'lqs/progress.h'",
                       by_file[bad].message)
-        # The ensemble layer may reach down to lqs/ (that include is clean)
+        # The analysis layer may reach down to lqs/ (that include is clean)
         # but not up to monitor/.
-        ens = os.path.join(self.ROOT, "src", "ensemble", "robust.h")
-        self.assertEqual(by_file[ens].line, line_of(ens, "monitor/service.h"))
+        robust = os.path.join(self.ROOT, "src", "analysis", "robust.h")
+        self.assertEqual(by_file[robust].line,
+                         line_of(robust, "monitor/service.h"))
         self.assertIn("may not include 'monitor/service.h'",
-                      by_file[ens].message)
+                      by_file[robust].message)
 
 
 class CycleFixtureTest(unittest.TestCase):

@@ -1,17 +1,19 @@
 // Wire-format throughput benchmark: encodes and decodes the DMV snapshot
-// stream of the TPC-DS / TPC-H bench workloads and reports sustained
-// encode/decode bandwidth plus frame sizes — the serialization cost a remote
+// stream of the TPC-DS / TPC-H bench workloads as full-snapshot PollResponse
+// frames — the bytes a polling client decodes — and reports sustained
+// encode/decode bandwidth plus frame sizes, the serialization cost a remote
 // monitor pays per 500 ms poll (DESIGN.md §10). The trailing "BENCH {...}"
 // JSON line is the machine-readable result (scripts/bench.sh collects it).
 //
 //   $ ./build/bench/wire_throughput
 //
-// Every run also re-verifies the round-trip contract on the real traces:
+// Every run also re-verifies the round-trip contract on every frame:
 // decode(encode(x)) re-encodes byte-identically, or the benchmark fails.
 
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -70,40 +72,35 @@ int main() {
     return 1;
   }
 
-  // Correctness first: every trace survives the wire byte-identically.
-  size_t trace_stream_bytes = 0;
-  for (const ProfileTrace& trace : traces) {
-    std::string frame;
-    EncodeTrace(trace, &frame);
-    trace_stream_bytes += frame.size();
-    auto decoded = DecodeTrace(frame);
-    if (!decoded.ok()) {
-      std::fprintf(stderr, "decode failed: %s\n",
-                   decoded.status().ToString().c_str());
-      return 1;
-    }
-    std::string reencoded;
-    EncodeTrace(decoded.value(), &reencoded);
-    if (reencoded != frame) {
-      std::fprintf(stderr, "round trip not byte-identical\n");
-      return 1;
-    }
-  }
-
-  // Per-snapshot framing, the unit a PollResponse actually ships.
-  std::vector<std::string> snapshot_frames;
-  snapshot_frames.reserve(snapshot_count);
+  // One full-snapshot PollResponse per snapshot, the unit the client
+  // decodes. Correctness first: every frame survives the wire
+  // byte-identically.
+  std::vector<PollResponse> responses;
+  std::vector<std::string> frames;
   size_t snapshot_bytes = 0;
-  for (const ProfileTrace& trace : traces) {
-    for (const ProfileSnapshot& snap : trace.snapshots) {
+  for (ProfileTrace& trace : traces) {
+    for (ProfileSnapshot& snap : trace.snapshots) {
+      PollResponse response;
+      response.request_id = responses.size() + 1;
+      response.has_snapshot = true;
+      response.snapshot = std::move(snap);
       std::string frame;
-      EncodeSnapshot(snap, &frame);
+      EncodePollResponse(response, &frame);
+      auto decoded = DecodePollResponse(frame);
+      std::string reencoded;
+      if (decoded.ok()) EncodePollResponse(decoded.value(), &reencoded);
+      if (reencoded != frame) {
+        std::fprintf(stderr, "frame %zu does not round-trip (decode: %s)\n",
+                     responses.size(), decoded.status().ToString().c_str());
+        return 1;
+      }
       snapshot_bytes += frame.size();
-      snapshot_frames.push_back(std::move(frame));
+      responses.push_back(std::move(response));
+      frames.push_back(std::move(frame));
     }
   }
 
-  // Encode bandwidth: re-serialize the whole snapshot stream until enough
+  // Encode bandwidth: re-serialize the whole response stream until enough
   // wall time has accumulated for a stable rate.
   const double kMinSeconds = 0.3;
   size_t encode_bytes = 0;
@@ -111,13 +108,11 @@ int main() {
   auto start = std::chrono::steady_clock::now();
   std::string scratch;
   do {
-    for (const ProfileTrace& trace : traces) {
-      for (const ProfileSnapshot& snap : trace.snapshots) {
-        scratch.clear();
-        EncodeSnapshot(snap, &scratch);
-        encode_bytes += scratch.size();
-        ++encode_frames;
-      }
+    for (const PollResponse& response : responses) {
+      scratch.clear();
+      EncodePollResponse(response, &scratch);
+      encode_bytes += scratch.size();
+      ++encode_frames;
     }
   } while (SecondsSince(start) < kMinSeconds);
   const double encode_seconds = SecondsSince(start);
@@ -127,8 +122,8 @@ int main() {
   size_t decode_frames = 0;
   start = std::chrono::steady_clock::now();
   do {
-    for (const std::string& frame : snapshot_frames) {
-      auto decoded = DecodeSnapshot(frame);
+    for (const std::string& frame : frames) {
+      auto decoded = DecodePollResponse(frame);
       if (!decoded.ok()) {
         std::fprintf(stderr, "decode failed mid-benchmark\n");
         return 1;
@@ -165,9 +160,8 @@ int main() {
       "\"snapshots\":%zu,\"operator_rows\":%zu,"
       "\"encode_mb_per_sec\":%.1f,\"decode_mb_per_sec\":%.1f,"
       "\"bytes_per_snapshot\":%.1f,\"bytes_per_operator_row\":%.1f,"
-      "\"trace_stream_bytes\":%zu,\"roundtrip_byte_identical\":true}\n",
+      "\"roundtrip_byte_identical\":true}\n",
       traces.size(), snapshot_count, operator_rows, encode_mb_per_sec,
-      decode_mb_per_sec, bytes_per_snapshot, bytes_per_operator_row,
-      trace_stream_bytes);
+      decode_mb_per_sec, bytes_per_snapshot, bytes_per_operator_row);
   return 0;
 }

@@ -20,6 +20,13 @@ double LatencyClockNowMs() {
       .count();
 }
 
+/// Ticks RunToCompletion keeps issuing past the nominal horizon while remote
+/// sessions still await their final snapshot over a lossy link. Once
+/// exhausted, unfinished sessions are left degraded rather than looping
+/// forever (they surface in FinalCheck). Local trace-backed sessions are
+/// always done at the horizon and never need one.
+constexpr int kMaxOvertimeTicks = 256;
+
 }  // namespace
 
 MonitorService::MonitorService(MonitorOptions options)
@@ -74,10 +81,8 @@ int MonitorService::AddSession(std::string name, const Plan* plan,
   session.trace = trace;
   session.start_offset_ms = start_offset_ms;
   session.estimator = CachedEstimator(plan, catalog, estimator_options);
-  if (options_.check_invariants) {
-    session.checker = std::make_unique<ProgressInvariantChecker>(
-        session.estimator, options_.checker_options);
-  }
+  session.checker =
+      std::make_unique<ProgressInvariantChecker>(session.estimator);
   session.client = std::move(client);
   sessions_.push_back(std::move(session));
   {
@@ -153,13 +158,8 @@ void MonitorService::ComputeStatus(size_t index, double now_ms,
     return;
   }
   const double start_ms = LatencyClockNowMs();
-  if (session.checker != nullptr) {
-    session.checker->EstimateCheckedInto(*out->snapshot, &session.workspace,
-                                         &out->report);
-  } else {
-    session.estimator->EstimateInto(*out->snapshot, &session.workspace,
-                                    &out->report);
-  }
+  session.checker->EstimateCheckedInto(*out->snapshot, &session.workspace,
+                                       &out->report);
   out->progress = out->report.query_progress;
   *latency_ms = LatencyClockNowMs() - start_ms;
 }
@@ -274,8 +274,8 @@ void MonitorService::RunToCompletion(
   // opportunity. Local trace-backed sessions are always done at the
   // horizon, so a monitor without remote sessions never enters this loop
   // and its output is unchanged.
-  for (int extra = 0;
-       extra < options_.max_overtime_ticks && !AllSessionsDone(); ++extra) {
+  for (int extra = 0; extra < kMaxOvertimeTicks && !AllSessionsDone();
+       ++extra) {
     auto statuses = Tick(t);
     if (render) render(t, statuses);
     ++i;
@@ -303,7 +303,7 @@ ValidationReport MonitorService::FinalCheck() {
                                         .consecutive_failures) +
                      ")");
     }
-    if (session.checker == nullptr || final_snapshot == nullptr) continue;
+    if (final_snapshot == nullptr) continue;
     // The session's own workspace is bound to the checker's estimator and
     // idle on the driver thread once ticking has stopped.
     session.checker->CheckFinal(*final_snapshot, &session.workspace);

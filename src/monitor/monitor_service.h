@@ -35,17 +35,6 @@ struct MonitorOptions {
   int ticks_per_horizon = 12;
   /// Explicit tick spacing in virtual ms; 0 derives it from the horizon.
   double tick_ms = 0;
-  /// Wrap every session in a ProgressInvariantChecker (the always-on <5%
-  /// overhead configuration, DESIGN.md §7); violations surface in
-  /// FinalCheck().
-  bool check_invariants = true;
-  InvariantCheckerOptions checker_options;
-  /// Ticks RunToCompletion keeps issuing past the nominal horizon while
-  /// remote sessions still await their final snapshot over a lossy link.
-  /// Once exhausted, unfinished sessions are left degraded rather than
-  /// looping forever (they surface in FinalCheck). Irrelevant for local
-  /// trace-backed sessions, which are always done at the horizon.
-  int max_overtime_ticks = 256;
 };
 
 enum class SessionState {
@@ -74,8 +63,8 @@ struct SessionStatus {
   /// True when the session polls a SnapshotEndpoint instead of reading a
   /// local trace. The fields below stay at their defaults for local ones.
   bool remote = false;
-  /// This tick's estimate came from a held/interpolated snapshot (no fresh
-  /// data crossed the link this tick).
+  /// This tick's estimate came from a held snapshot (no fresh data crossed
+  /// the link this tick).
   bool stale = false;
   /// Age of the snapshot behind the estimate: tick time minus the accepted
   /// snapshot's own timestamp.
@@ -138,7 +127,7 @@ struct MonitorStats {
   uint64_t snapshots_accepted = 0;
   uint64_t duplicates_ignored = 0;
   uint64_t regressions_rejected = 0;
-  /// Ticks on which a session served held/interpolated data.
+  /// Ticks on which a session served a held snapshot.
   uint64_t stale_reports = 0;
   /// Wire bytes received across all remote sessions — the number the delta
   /// protocol drives down (bench/monitor_scale divides it out per session
@@ -171,12 +160,14 @@ struct MonitorStats {
 ///
 /// Each registered session pairs an executed query's trace with a start
 /// offset on the shared timeline. Tick(t) computes a ProgressReport for
-/// every session active at time t on a worker pool, one estimator call per
-/// session; estimators are cached per distinct (plan, catalog, options) and
-/// shared across sessions — safely, because estimators are const after
-/// construction and every session drives EstimateInto through its own
-/// private Workspace — while the per-session ProgressInvariantChecker state
-/// stays private to its session.
+/// every session active at time t on a worker pool, one checked estimator
+/// call per session (each session owns a ProgressInvariantChecker, the
+/// always-on <5% overhead configuration of DESIGN.md §7). Estimators are
+/// cached per distinct (plan, catalog, options) and shared across sessions —
+/// safely, because estimators are const after construction and every
+/// session drives EstimateInto through its own private Workspace — while
+/// the per-session ProgressInvariantChecker state stays private to its
+/// session.
 ///
 /// Determinism contract: results depend only on the registered sessions and
 /// the tick times, never on options.num_threads or scheduling. Work is
@@ -238,7 +229,7 @@ class MonitorService {
   /// Virtual time at which the last session finishes (0 when no session
   /// does any work). Remote sessions contribute their endpoint's advertised
   /// horizon; an endpoint that does not know one contributes nothing (its
-  /// session completes during overtime ticks, see MonitorOptions).
+  /// session completes during RunToCompletion's overtime ticks).
   double HorizonMs() const;
 
   /// True when every session has reached kDone as of the last tick.
@@ -258,8 +249,9 @@ class MonitorService {
                                const std::vector<SessionStatus>&)>& render);
 
   /// End-of-timeline invariant verdict: every violation accumulated during
-  /// ticking plus each session's CheckFinal against its final snapshot.
-  /// With check_invariants off, returns an empty (ok) report.
+  /// ticking plus each session's CheckFinal against its final snapshot, and
+  /// a remote_session_incomplete finding for each remote session whose
+  /// final snapshot never arrived.
   ValidationReport FinalCheck();
 
   /// Aggregate counters; percentiles/throughput are recomputed on call.
@@ -275,7 +267,7 @@ class MonitorService {
     const ProfileTrace* trace;
     double start_offset_ms;
     const ProgressEstimator* estimator;  // owned by estimator_cache_
-    std::unique_ptr<ProgressInvariantChecker> checker;  // null if unchecked
+    std::unique_ptr<ProgressInvariantChecker> checker;
     /// Remote sessions poll through this client; null for local sessions.
     /// Like `checker`, it is per-session mutable state: touched by exactly
     /// one pool worker per tick, ticks ordered by the ParallelFor barrier.

@@ -30,122 +30,34 @@ bool PollingClient::MaybeAccept(ProfileSnapshot snapshot,
     }
     // Counters running backwards at a newer timestamp mean the payload is
     // not a later observation of the same execution (a restarted server, a
-    // misrouted response). DMV counters are monotone; reject.
+    // misrouted response). The executor only ever advances these DMV
+    // counters and activity clocks, so one gate over all of them keeps the
+    // served view monotone; reject.
     if (snapshot.operators.size() != last_accepted_.operators.size()) {
       ++stats_.regressions_rejected;
       return false;
     }
     for (size_t i = 0; i < snapshot.operators.size(); ++i) {
-      if (snapshot.operators[i].row_count <
-              last_accepted_.operators[i].row_count ||
-          snapshot.operators[i].rebind_count <
-              last_accepted_.operators[i].rebind_count) {
+      const OperatorProfile& next = snapshot.operators[i];
+      const OperatorProfile& last = last_accepted_.operators[i];
+      if (next.row_count < last.row_count ||
+          next.rebind_count < last.rebind_count ||
+          next.logical_read_count < last.logical_read_count ||
+          next.segment_read_count < last.segment_read_count ||
+          next.segment_total_count < last.segment_total_count ||
+          next.cpu_time_ms < last.cpu_time_ms ||
+          next.io_time_ms < last.io_time_ms ||
+          next.last_active_ms < last.last_active_ms) {
         ++stats_.regressions_rejected;
         return false;
       }
     }
-    prev_accepted_ = std::move(last_accepted_);
-    have_prev_ = true;
   }
   last_accepted_ = std::move(snapshot);
   have_snapshot_ = true;
   if (query_complete) complete_ = true;
   ++stats_.accepted;
   return true;
-}
-
-void PollingClient::Interpolate(double now_ms) {
-  // Extrapolate counters at the rate observed between the last two accepted
-  // snapshots, capped at one inter-snapshot gap so a long outage does not
-  // run progress arbitrarily far ahead of reality.
-  const double gap = last_accepted_.time_ms - prev_accepted_.time_ms;
-  if (gap <= 0) {
-    interpolated_ = last_accepted_;
-    return;
-  }
-  const double ahead =
-      std::min(now_ms - last_accepted_.time_ms, gap);
-  if (ahead <= 0) {
-    interpolated_ = last_accepted_;
-    return;
-  }
-  const double f = ahead / gap;
-  interpolated_ = last_accepted_;
-  interpolated_.time_ms = last_accepted_.time_ms + ahead;
-  for (size_t i = 0; i < interpolated_.operators.size(); ++i) {
-    OperatorProfile& out = interpolated_.operators[i];
-    const OperatorProfile& last = last_accepted_.operators[i];
-    const OperatorProfile& prev = prev_accepted_.operators[i];
-    auto lerp_u64 = [f](uint64_t newer, uint64_t older) -> uint64_t {
-      return newer +
-             static_cast<uint64_t>(
-                 f * static_cast<double>(newer - std::min(newer, older)));
-    };
-    out.row_count = lerp_u64(last.row_count, prev.row_count);
-    out.logical_read_count =
-        lerp_u64(last.logical_read_count, prev.logical_read_count);
-    out.segment_read_count =
-        lerp_u64(last.segment_read_count, prev.segment_read_count);
-    if (out.segment_total_count > 0) {
-      out.segment_read_count =
-          std::min(out.segment_read_count, out.segment_total_count);
-    }
-    out.cpu_time_ms += f * std::max(0.0, last.cpu_time_ms - prev.cpu_time_ms);
-    out.io_time_ms += f * std::max(0.0, last.io_time_ms - prev.io_time_ms);
-    // A synthetic snapshot must stay internally consistent: counters we
-    // just advanced represent activity happening *now*, so the operator's
-    // activity timestamp moves to the snapshot time — an operator whose
-    // rows grew while last_active_ms sat in the past would contradict
-    // itself (and time_ms) to any consumer of activity recency.
-    const bool advanced = out.row_count != last.row_count ||
-                          out.logical_read_count != last.logical_read_count ||
-                          out.segment_read_count != last.segment_read_count;
-    if (advanced && out.opened && !out.closed) {
-      out.last_active_ms = interpolated_.time_ms;
-    }
-  }
-}
-
-void PollingClient::ServeClamped(const ProfileSnapshot& source) {
-  if (!have_served_ || served_.operators.size() != source.operators.size()) {
-    served_ = source;
-    have_served_ = true;
-    view_.snapshot = &served_;
-    return;
-  }
-  // Element-wise monotone floor: the served view only ever moves forward.
-  // When interpolation overshot reality, the next real snapshot lands
-  // *below* the floor and the view holds flat until execution catches up —
-  // a pause, not the backwards jump that violates §5 monotonicity.
-  served_.time_ms = std::max(served_.time_ms, source.time_ms);
-  for (size_t i = 0; i < served_.operators.size(); ++i) {
-    OperatorProfile& s = served_.operators[i];
-    const OperatorProfile& n = source.operators[i];
-    // Monotone-by-contract counters and clocks: floor them.
-    s.row_count = std::max(s.row_count, n.row_count);
-    s.rebind_count = std::max(s.rebind_count, n.rebind_count);
-    s.logical_read_count = std::max(s.logical_read_count, n.logical_read_count);
-    s.segment_read_count = std::max(s.segment_read_count, n.segment_read_count);
-    s.segment_total_count =
-        std::max(s.segment_total_count, n.segment_total_count);
-    s.cpu_time_ms = std::max(s.cpu_time_ms, n.cpu_time_ms);
-    s.io_time_ms = std::max(s.io_time_ms, n.io_time_ms);
-    s.last_active_ms = std::max(s.last_active_ms, n.last_active_ms);
-    // Legitimately non-monotone fields pass through: the optimizer refines
-    // estimates in both directions (§4), and totals can be re-learned.
-    s.estimate_row_count = n.estimate_row_count;
-    s.total_pages = n.total_pages;
-    // One-shot timestamps are sticky once set (-1 means unset): a view in
-    // which an operator un-opens would be nonsense.
-    if (s.open_time_ms < 0) s.open_time_ms = n.open_time_ms;
-    if (s.first_row_ms < 0) s.first_row_ms = n.first_row_ms;
-    if (s.close_time_ms < 0) s.close_time_ms = n.close_time_ms;
-    s.opened = s.opened || n.opened;
-    s.closed = s.closed || n.closed;
-    s.finished = s.finished || n.finished;
-    s.has_pushed_predicate = n.has_pushed_predicate;
-  }
-  view_.snapshot = &served_;
 }
 
 void PollingClient::BuildView(double now_ms, bool accepted_fresh,
@@ -167,25 +79,9 @@ void PollingClient::BuildView(double now_ms, bool accepted_fresh,
     view_.staleness_ms = 0;
     return;
   }
+  view_.snapshot = &last_accepted_;
   view_.staleness_ms = std::max(0.0, now_ms - last_accepted_.time_ms);
   if (view_.stale) ++stats_.stale_polls;
-  if (complete_) {
-    // The final snapshot is ground truth and progress 1.0 dominates every
-    // earlier value, so it is served unclamped (an interpolated floor that
-    // overshot must not outlive the query); the floor resets onto it.
-    served_ = last_accepted_;
-    have_served_ = true;
-    view_.snapshot = &served_;
-    return;
-  }
-  if (view_.stale &&
-      options_.staleness_policy == StalenessPolicy::kInterpolate &&
-      have_prev_) {
-    Interpolate(now_ms);
-    ServeClamped(interpolated_);
-  } else {
-    ServeClamped(last_accepted_);
-  }
 }
 
 const ClientView& PollingClient::Poll(double now_ms) {

@@ -11,20 +11,6 @@
 
 namespace lqs {
 
-/// What the client does with a tick on which no fresh snapshot arrived.
-enum class StalenessPolicy {
-  /// Keep showing the last accepted snapshot (progress holds flat). The
-  /// default: never fabricates counters, so downstream invariant checkers
-  /// see only data the server actually produced.
-  kHold,
-  /// Extrapolate counters forward at the rate observed between the last two
-  /// accepted snapshots, capped at one inter-snapshot gap. Progress keeps
-  /// moving across short outages, at the cost of synthetic counters that a
-  /// later real snapshot may land slightly below (the §5 revision metric
-  /// treats such corrections as revisions, not errors).
-  kInterpolate,
-};
-
 struct PollingClientOptions {
   /// Virtual-time budget for one attempt; a response arriving later than
   /// send + timeout_ms counts as timed out even if it carries bytes.
@@ -43,7 +29,6 @@ struct PollingClientOptions {
   /// Consecutive Poll() calls with no decodable response before the session
   /// is marked degraded. A single decodable response recovers it.
   int degrade_after_failures = 8;
-  StalenessPolicy staleness_policy = StalenessPolicy::kHold;
 };
 
 enum class TransportHealth {
@@ -54,16 +39,18 @@ enum class TransportHealth {
   kDegraded,
 };
 
-/// What the monitor sees after one Poll(): the freshest usable snapshot plus
+/// What the monitor sees after one Poll(): the last accepted snapshot plus
 /// transport condition. `snapshot` points into client-owned storage and is
 /// valid until the next Poll() on this client.
 struct ClientView {
-  const ProfileSnapshot* snapshot = nullptr;  ///< null before first accept
+  /// The last snapshot the client accepted, exactly as the server sent it;
+  /// null before the first accept.
+  const ProfileSnapshot* snapshot = nullptr;
   /// The server declared the query complete and `snapshot` holds its final
   /// counters.
   bool query_complete = false;
-  /// No fresh snapshot was accepted by this Poll() — `snapshot` is held (or
-  /// interpolated) from earlier data.
+  /// No fresh snapshot was accepted by this Poll() — `snapshot` is held
+  /// from an earlier one.
   bool stale = false;
   /// now - (time of the last *accepted* snapshot); 0 before the first one.
   double staleness_ms = 0;
@@ -85,11 +72,11 @@ struct ClientStats {
   /// Redeliveries of the already-accepted snapshot (same timestamp).
   uint64_t duplicates_ignored = 0;
   /// Snapshots rejected as older than the last accepted one (reordered late
-  /// deliveries), or carrying counters that went backwards.
+  /// deliveries), or carrying a monotone counter that went backwards.
   uint64_t regressions_rejected = 0;
   /// Poll() calls that ended with no decodable response at all.
   uint64_t failed_polls = 0;
-  /// Poll() calls that served held/interpolated (stale) data.
+  /// Poll() calls that served a held (stale) snapshot.
   uint64_t stale_polls = 0;
   /// Wire bytes that arrived (decodable or not) — the transport cost the
   /// delta protocol exists to shrink.
@@ -110,19 +97,13 @@ struct ClientStats {
 /// estimation seam well-behaved over a lossy link:
 ///
 ///  - duplicates (same snapshot timestamp) are ignored;
-///  - regressions (snapshot older than the last accepted one, or counters
-///    running backwards) are rejected, so accepted snapshot timestamps are
-///    strictly increasing — the monotone replay the invariant checkers
-///    demand;
-///  - on ticks with nothing fresh the last snapshot is held (or
-///    interpolated, per StalenessPolicy) and flagged stale;
-///  - the *served* view is additionally clamped so counters never move
-///    backwards across consecutive Poll() calls: an interpolated view that
-///    overshot reality is held flat until reality catches up, instead of
-///    visibly regressing when the next real snapshot lands below it (§5
-///    monotonicity). Completion is the exception — the final snapshot is
-///    served as-is (it is the ground truth, and progress 1.0 dominates
-///    every earlier value);
+///  - regressions (snapshot older than the last accepted one, or any
+///    monotone counter running backwards) are rejected, so accepted
+///    snapshot timestamps are strictly increasing and served counters never
+///    move backwards — the monotone replay the invariant checkers demand;
+///  - the view serves the last accepted snapshot exactly as the server sent
+///    it, lifecycle flags and one-shot timestamps included; on ticks with
+///    nothing fresh it is held and flagged stale;
 ///  - snapshot deltas (wire.h) are reassembled against the last accepted
 ///    snapshot; any gap — unknown base, lost keyframe — makes the next
 ///    request demand a full keyframe instead of corrupting state;
@@ -154,7 +135,6 @@ class PollingClient {
   const ClientView& view() const { return view_; }
 
   const ClientStats& stats() const { return stats_; }
-  TransportHealth health() const { return view_.health; }
   bool complete() const { return complete_; }
   /// Final counters once the server declared the query complete; null
   /// before then.
@@ -162,18 +142,12 @@ class PollingClient {
     return complete_ ? &last_accepted_ : nullptr;
   }
   double KnownHorizonMs() const { return endpoint_->KnownHorizonMs(); }
-  const SnapshotEndpoint& endpoint() const { return *endpoint_; }
 
  private:
-  /// Applies the duplicate/regression filter; on acceptance rotates
-  /// prev_/last_ and returns true.
+  /// Applies the duplicate/regression gate; on acceptance replaces
+  /// last_accepted_ and returns true.
   bool MaybeAccept(ProfileSnapshot snapshot, bool query_complete);
   void BuildView(double now_ms, bool accepted_fresh, bool link_alive);
-  void Interpolate(double now_ms);
-  /// Clamps `source` against the previously served view (element-wise
-  /// floor on monotone counters, sticky lifecycle flags) into served_ and
-  /// points the view at it.
-  void ServeClamped(const ProfileSnapshot& source);
 
   std::unique_ptr<SnapshotEndpoint> endpoint_;
   const PollingClientOptions options_;
@@ -183,15 +157,8 @@ class PollingClient {
 
   uint64_t next_request_id_ = 1;
   bool have_snapshot_ = false;
-  bool have_prev_ = false;
+  /// The snapshot the view serves and the delta protocol's acked base.
   ProfileSnapshot last_accepted_;
-  ProfileSnapshot prev_accepted_;
-  /// Storage the view's snapshot pointer targets under kInterpolate.
-  ProfileSnapshot interpolated_;
-  /// Storage the view's snapshot pointer targets mid-run: the served view,
-  /// clamped so no counter ever moves backwards across Poll() calls.
-  ProfileSnapshot served_;
-  bool have_served_ = false;
   /// Set when a delta could not be applied; the next request demands a
   /// full keyframe and this stays set until one (or any full snapshot)
   /// is accepted.

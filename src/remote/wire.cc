@@ -47,11 +47,6 @@ class WireWriter {
     }
   }
 
-  void PutString(const std::string& s) {
-    PutVarint(s.size());
-    out_->append(s);
-  }
-
   /// Compact encoding of an XOR of two IEEE-754 bit patterns: one prefix
   /// byte packing (trailing-zero-byte count << 4 | significant-byte count),
   /// then the significant bytes little-endian. Clock-like doubles differ in
@@ -109,6 +104,12 @@ class WireReader {
         if (shift == 63 && byte > 1) {
           return Status::InvalidArgument("wire: varint overflows 64 bits");
         }
+        // A zero final byte after the first only pads the value: PutVarint
+        // never writes one, so accepting it would break decode→re-encode
+        // byte identity.
+        if (shift > 0 && byte == 0) {
+          return Status::InvalidArgument("wire: varint padded with zeros");
+        }
         *out = value;
         return Status::OK();
       }
@@ -132,15 +133,6 @@ class WireReader {
     }
     pos_ += 8;
     std::memcpy(out, &bits, sizeof(*out));
-    return Status::OK();
-  }
-
-  Status GetString(std::string* out) {
-    uint64_t size;
-    LQS_RETURN_IF_ERROR(GetVarint(&size));
-    if (size > remaining()) return Truncated("string body");
-    out->assign(data_.substr(pos_, size));
-    pos_ += size;
     return Status::OK();
   }
 
@@ -207,31 +199,25 @@ uint32_t GetFixed32(std::string_view data, size_t offset) {
   return v;
 }
 
-/// Wraps `payload` (already appended at out->size() - payload_size) in a
-/// frame: the header is written into the reserved bytes at `header_at`.
-void FinishFrame(std::string* out, size_t header_at, WireType type) {
+/// Wraps the payload appended after the reserved header at `header_at` in a
+/// PollResponse frame: the header is written into the reserved bytes.
+void FinishFrame(std::string* out, size_t header_at) {
   const size_t payload_size = out->size() - header_at - kWireHeaderSize;
   std::string header;
   header.reserve(kWireHeaderSize);
   header.push_back(kWireMagic0);
   header.push_back(kWireMagic1);
   header.push_back(static_cast<char>(kWireVersion));
-  header.push_back(static_cast<char>(type));
+  header.push_back(static_cast<char>(WireType::kPollResponse));
   PutFixed32(&header, static_cast<uint32_t>(payload_size));
   PutFixed32(&header, WireCrc32(out->data() + header_at + kWireHeaderSize,
                                 payload_size));
   out->replace(header_at, kWireHeaderSize, header);
 }
 
-size_t StartFrame(std::string* out) {
-  const size_t header_at = out->size();
-  out->append(kWireHeaderSize, '\0');  // patched by FinishFrame
-  return header_at;
-}
-
-/// Header checks shared by every decoder: magic, version, declared type,
-/// exact length, CRC. Returns the payload view on success.
-StatusOr<std::string_view> CheckFrame(std::string_view frame, WireType want) {
+/// Header checks: magic, version, declared type, exact length, CRC. Returns
+/// the payload view on success.
+StatusOr<std::string_view> CheckFrame(std::string_view frame) {
   if (frame.size() < kWireHeaderSize) {
     return Status::OutOfRange(
         StringF("wire: frame shorter than header (%zu bytes)", frame.size()));
@@ -246,10 +232,10 @@ StatusOr<std::string_view> CheckFrame(std::string_view frame, WireType want) {
                 kWireVersion));
   }
   const uint8_t type = static_cast<uint8_t>(frame[3]);
-  if (type != static_cast<uint8_t>(want)) {
+  if (type != static_cast<uint8_t>(WireType::kPollResponse)) {
     return Status::InvalidArgument(
         StringF("wire: message type %u where %u expected", type,
-                static_cast<uint8_t>(want)));
+                static_cast<uint8_t>(WireType::kPollResponse)));
   }
   const uint32_t payload_size = GetFixed32(frame, 4);
   if (frame.size() != kWireHeaderSize + payload_size) {
@@ -266,9 +252,8 @@ StatusOr<std::string_view> CheckFrame(std::string_view frame, WireType want) {
 }
 
 // ---------------------------------------------------------------------------
-// Message bodies. Bodies are headerless so composites (trace, poll response)
-// can embed them; the public Encode*/Decode* wrap exactly one body per
-// frame.
+// Message bodies. Bodies are headerless; a PollResponse embeds either a
+// snapshot body or a delta body after its request id and flags.
 // ---------------------------------------------------------------------------
 
 constexpr uint8_t kProfileFlagOpened = 1u << 0;
@@ -576,63 +561,9 @@ uint32_t WireCrc32(const void* data, size_t size) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-PlanSummary PlanSummary::FromPlan(const Plan& plan) {
-  PlanSummary summary;
-  summary.nodes.resize(static_cast<size_t>(plan.size()));
-  plan.root->Visit([&summary](const PlanNode& node) {
-    PlanSummaryNode& out = summary.nodes[static_cast<size_t>(node.id)];
-    out.node_id = node.id;
-    out.op_type = node.type;
-    out.est_rows = node.est_rows;
-    out.est_cpu_ms = node.est_cpu_ms;
-    out.est_io_ms = node.est_io_ms;
-    out.est_rebinds = node.est_rebinds;
-    out.table_name = node.table_name;
-    for (const auto& child : node.children) {
-      summary.nodes[static_cast<size_t>(child->id)].parent_node_id = node.id;
-    }
-  });
-  return summary;
-}
-
-void EncodeSnapshot(const ProfileSnapshot& snapshot, std::string* out) {
-  const size_t header_at = StartFrame(out);
-  WireWriter w(out);
-  PutSnapshotBody(&w, snapshot);
-  FinishFrame(out, header_at, WireType::kSnapshot);
-}
-
-void EncodeTrace(const ProfileTrace& trace, std::string* out) {
-  const size_t header_at = StartFrame(out);
-  WireWriter w(out);
-  w.PutVarint(trace.snapshots.size());
-  for (const ProfileSnapshot& snapshot : trace.snapshots) {
-    PutSnapshotBody(&w, snapshot);
-  }
-  PutSnapshotBody(&w, trace.final_snapshot);
-  w.PutDouble(trace.total_elapsed_ms);
-  FinishFrame(out, header_at, WireType::kTrace);
-}
-
-void EncodePlanSummary(const PlanSummary& summary, std::string* out) {
-  const size_t header_at = StartFrame(out);
-  WireWriter w(out);
-  w.PutVarint(summary.nodes.size());
-  for (const PlanSummaryNode& node : summary.nodes) {
-    w.PutZigzag(node.node_id);
-    w.PutZigzag(node.parent_node_id);
-    w.PutVarint(static_cast<uint64_t>(node.op_type));
-    w.PutDouble(node.est_rows);
-    w.PutDouble(node.est_cpu_ms);
-    w.PutDouble(node.est_io_ms);
-    w.PutDouble(node.est_rebinds);
-    w.PutString(node.table_name);
-  }
-  FinishFrame(out, header_at, WireType::kPlanSummary);
-}
-
 void EncodePollResponse(const PollResponse& response, std::string* out) {
-  const size_t header_at = StartFrame(out);
+  const size_t header_at = out->size();
+  out->append(kWireHeaderSize, '\0');  // patched by FinishFrame
   WireWriter w(out);
   w.PutVarint(response.request_id);
   uint8_t flags = 0;
@@ -642,14 +573,7 @@ void EncodePollResponse(const PollResponse& response, std::string* out) {
   w.PutByte(flags);
   if (response.has_snapshot) PutSnapshotBody(&w, response.snapshot);
   if (response.has_delta) PutDeltaBody(&w, response.delta);
-  FinishFrame(out, header_at, WireType::kPollResponse);
-}
-
-void EncodeSnapshotDelta(const SnapshotDelta& delta, std::string* out) {
-  const size_t header_at = StartFrame(out);
-  WireWriter w(out);
-  PutDeltaBody(&w, delta);
-  FinishFrame(out, header_at, WireType::kSnapshotDelta);
+  FinishFrame(out, header_at);
 }
 
 StatusOr<SnapshotDelta> MakeSnapshotDelta(const ProfileSnapshot& base,
@@ -832,116 +756,9 @@ Status ApplySnapshotDelta(const SnapshotDelta& delta,
   return Status::OK();
 }
 
-StatusOr<size_t> WireFrameSize(std::string_view buffer) {
-  if (buffer.size() < kWireHeaderSize) {
-    return Status::OutOfRange(
-        StringF("wire: buffer shorter than frame header (%zu bytes)",
-                buffer.size()));
-  }
-  if (buffer[0] != kWireMagic0 || buffer[1] != kWireMagic1) {
-    return Status::InvalidArgument("wire: bad magic");
-  }
-  if (static_cast<uint8_t>(buffer[2]) != kWireVersion) {
-    return Status::Unimplemented(
-        StringF("wire: version %u not supported (speaking %u)",
-                static_cast<uint8_t>(buffer[2]), kWireVersion));
-  }
-  const size_t total = kWireHeaderSize + GetFixed32(buffer, 4);
-  if (total > buffer.size()) {
-    return Status::OutOfRange(
-        StringF("wire: frame of %zu bytes, buffer holds %zu", total,
-                buffer.size()));
-  }
-  return total;
-}
-
-StatusOr<WireType> WireFrameType(std::string_view frame) {
-  LQS_RETURN_IF_ERROR(WireFrameSize(frame).status());
-  const uint8_t type = static_cast<uint8_t>(frame[3]);
-  if (type < static_cast<uint8_t>(WireType::kPlanSummary) ||
-      type > static_cast<uint8_t>(WireType::kSnapshotDelta)) {
-    return Status::InvalidArgument(
-        StringF("wire: unknown message type %u", type));
-  }
-  return static_cast<WireType>(type);
-}
-
-StatusOr<ProfileSnapshot> DecodeSnapshot(std::string_view frame) {
-  std::string_view payload;
-  LQS_ASSIGN_OR_RETURN(payload, CheckFrame(frame, WireType::kSnapshot));
-  WireReader r(payload);
-  ProfileSnapshot snapshot;
-  LQS_RETURN_IF_ERROR(GetSnapshotBody(&r, &snapshot));
-  LQS_RETURN_IF_ERROR(RequireExhausted(r));
-  return snapshot;
-}
-
-StatusOr<ProfileTrace> DecodeTrace(std::string_view frame) {
-  std::string_view payload;
-  LQS_ASSIGN_OR_RETURN(payload, CheckFrame(frame, WireType::kTrace));
-  WireReader r(payload);
-  ProfileTrace trace;
-  uint64_t count;
-  LQS_RETURN_IF_ERROR(r.GetVarint(&count));
-  if (count > r.remaining()) {
-    return Status::OutOfRange(
-        StringF("wire: trace declares %llu snapshots, %zu bytes left",
-                static_cast<unsigned long long>(count), r.remaining()));
-  }
-  trace.snapshots.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    ProfileSnapshot snapshot;
-    LQS_RETURN_IF_ERROR(GetSnapshotBody(&r, &snapshot));
-    trace.snapshots.push_back(std::move(snapshot));
-  }
-  LQS_RETURN_IF_ERROR(GetSnapshotBody(&r, &trace.final_snapshot));
-  LQS_RETURN_IF_ERROR(r.GetDouble(&trace.total_elapsed_ms));
-  LQS_RETURN_IF_ERROR(RequireExhausted(r));
-  return trace;
-}
-
-StatusOr<PlanSummary> DecodePlanSummary(std::string_view frame) {
-  std::string_view payload;
-  LQS_ASSIGN_OR_RETURN(payload, CheckFrame(frame, WireType::kPlanSummary));
-  WireReader r(payload);
-  PlanSummary summary;
-  uint64_t count;
-  LQS_RETURN_IF_ERROR(r.GetVarint(&count));
-  if (count > r.remaining()) {
-    return Status::OutOfRange(
-        StringF("wire: plan summary declares %llu nodes, %zu bytes left",
-                static_cast<unsigned long long>(count), r.remaining()));
-  }
-  summary.nodes.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    PlanSummaryNode node;
-    int64_t node_id, parent_node_id;
-    LQS_RETURN_IF_ERROR(r.GetZigzag(&node_id));
-    LQS_RETURN_IF_ERROR(r.GetZigzag(&parent_node_id));
-    node.node_id = static_cast<int>(node_id);
-    node.parent_node_id = static_cast<int>(parent_node_id);
-    uint64_t op_type;
-    LQS_RETURN_IF_ERROR(r.GetVarint(&op_type));
-    if (op_type >= static_cast<uint64_t>(OpType::kNumOpTypes)) {
-      return Status::InvalidArgument(
-          StringF("wire: operator type %llu out of range",
-                  static_cast<unsigned long long>(op_type)));
-    }
-    node.op_type = static_cast<OpType>(op_type);
-    LQS_RETURN_IF_ERROR(r.GetDouble(&node.est_rows));
-    LQS_RETURN_IF_ERROR(r.GetDouble(&node.est_cpu_ms));
-    LQS_RETURN_IF_ERROR(r.GetDouble(&node.est_io_ms));
-    LQS_RETURN_IF_ERROR(r.GetDouble(&node.est_rebinds));
-    LQS_RETURN_IF_ERROR(r.GetString(&node.table_name));
-    summary.nodes.push_back(std::move(node));
-  }
-  LQS_RETURN_IF_ERROR(RequireExhausted(r));
-  return summary;
-}
-
 StatusOr<PollResponse> DecodePollResponse(std::string_view frame) {
   std::string_view payload;
-  LQS_ASSIGN_OR_RETURN(payload, CheckFrame(frame, WireType::kPollResponse));
+  LQS_ASSIGN_OR_RETURN(payload, CheckFrame(frame));
   WireReader r(payload);
   PollResponse response;
   LQS_RETURN_IF_ERROR(r.GetVarint(&response.request_id));
@@ -966,16 +783,6 @@ StatusOr<PollResponse> DecodePollResponse(std::string_view frame) {
   }
   LQS_RETURN_IF_ERROR(RequireExhausted(r));
   return response;
-}
-
-StatusOr<SnapshotDelta> DecodeSnapshotDelta(std::string_view frame) {
-  std::string_view payload;
-  LQS_ASSIGN_OR_RETURN(payload, CheckFrame(frame, WireType::kSnapshotDelta));
-  WireReader r(payload);
-  SnapshotDelta delta;
-  LQS_RETURN_IF_ERROR(GetDeltaBody(&r, &delta));
-  LQS_RETURN_IF_ERROR(RequireExhausted(r));
-  return delta;
 }
 
 }  // namespace lqs

@@ -9,7 +9,6 @@
 #include "common/deterministic.h"
 #include "common/statusor.h"
 #include "dmv/query_profile.h"
-#include "exec/plan.h"
 
 namespace lqs {
 
@@ -29,62 +28,38 @@ namespace lqs {
 ///   offset 8   payload CRC32    uint32 (IEEE, reflected)
 ///   offset 12  payload          `payload length` bytes
 ///
-/// The length prefix makes frames self-delimiting on a byte stream
-/// (WireFrameSize splits a concatenation); the CRC rejects damaged payloads
-/// before any field is interpreted. Payloads use varint (LEB128) for
-/// counters, zigzag varints for signed ids, and raw IEEE-754 bit patterns
-/// for doubles, so decode→re-encode is byte-identical (virtual timestamps
-/// round-trip bit-exactly).
+/// The one message that crosses the link is the PollResponse (the answer to
+/// one poll). The CRC rejects damaged payloads before any field is
+/// interpreted. Payloads use varint (LEB128) for counters, zigzag varints
+/// for signed ids, and raw IEEE-754 bit patterns for doubles, so
+/// decode→re-encode is byte-identical (virtual timestamps round-trip
+/// bit-exactly).
 ///
-/// Every decoder is total: malformed input of any shape — truncated, bit
-/// flipped, wrong magic/version/type, trailing bytes, overlong varints,
-/// out-of-range enum values — returns a non-OK Status. Decoders never read
-/// out of bounds and never abort.
+/// The decoder is total: malformed input of any shape — truncated, bit
+/// flipped, wrong magic/version/type, trailing bytes, overlong or padded
+/// varints, out-of-range enum values — returns a non-OK Status. It never
+/// reads out of bounds and never aborts.
 inline constexpr uint8_t kWireVersion = 1;
 inline constexpr size_t kWireHeaderSize = 12;
 inline constexpr char kWireMagic0 = 'L';
 inline constexpr char kWireMagic1 = 'Q';
 
-/// Message type carried in the frame header.
+/// Message type carried in the frame header. Values 1-3 and 5 are retired
+/// and must not be reused: older builds sent other messages under them.
 enum class WireType : uint8_t {
-  kPlanSummary = 1,
-  kSnapshot = 2,
-  kTrace = 3,
   kPollResponse = 4,
-  kSnapshotDelta = 5,
 };
 
 /// CRC32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) of `size` bytes.
 uint32_t WireCrc32(const void* data, size_t size);
 
-/// The showplan digest a remote monitor needs to label what it renders:
-/// tree shape plus the optimizer annotations the estimator consumes (§2.2).
-/// Expression payloads deliberately stay server-side.
-struct PlanSummaryNode {
-  int node_id = -1;
-  int parent_node_id = -1;
-  OpType op_type = OpType::kTableScan;
-  double est_rows = 0;
-  double est_cpu_ms = 0;
-  double est_io_ms = 0;
-  double est_rebinds = 0;
-  std::string table_name;
-};
-
-struct PlanSummary {
-  std::vector<PlanSummaryNode> nodes;  // pre-order, indexed by node_id
-
-  /// Digests a finalized plan (ids dense pre-order, FinalizePlan contract).
-  static PlanSummary FromPlan(const Plan& plan);
-};
-
 /// Per-field presence bits of one OperatorDelta. A set bit means the frame
 /// carries that field; clear means "unchanged from the base operator".
 /// Counters travel as zigzag varints of (target - base), which is exact in
 /// integers; doubles travel as the XOR of the two IEEE-754 bit patterns in
-/// the compact trailing-zero encoding (see EncodeSnapshotDelta), which is
-/// exact by construction — reassembly is byte-identical to the full
-/// snapshot, NaNs and signed zeros included.
+/// a compact trailing-zero encoding (PutXorCompact in wire.cc), which is
+/// exact by construction — reassembly reproduces the full snapshot bit for
+/// bit, NaNs and signed zeros included.
 enum DeltaField : uint32_t {
   kDeltaRowCount = 1u << 0,
   kDeltaRebindCount = 1u << 1,
@@ -153,8 +128,8 @@ StatusOr<SnapshotDelta> MakeSnapshotDelta(const ProfileSnapshot& base,
 /// kNotFound when `base` is not the snapshot the delta was computed against
 /// (bit-exact time_ms mismatch — the caller's resync/keyframe path), and
 /// kInvalidArgument on structural mismatch (operator count, out-of-range
-/// index). On success `*out` is byte-identical (under EncodeSnapshot) to
-/// the original target.
+/// index). On success `*out` equals the original target bit for bit: a
+/// PollResponse carrying it as a full snapshot encodes to the same bytes.
 LQS_DETERMINISTIC
 Status ApplySnapshotDelta(const SnapshotDelta& delta,
                           const ProfileSnapshot& base, ProfileSnapshot* out);
@@ -175,43 +150,19 @@ struct PollResponse {
   SnapshotDelta delta;  ///< meaningful only when has_delta
 };
 
-/// Encoders append exactly one complete frame to `*out` (existing content is
-/// preserved, so frames can be concatenated onto one stream buffer).
-/// LQS_DETERMINISTIC: identical input produces byte-identical frames — the
-/// golden tests pin the bytes; the static checker pins the call graph.
-LQS_DETERMINISTIC
-void EncodeSnapshot(const ProfileSnapshot& snapshot, std::string* out);
-LQS_DETERMINISTIC
-void EncodeTrace(const ProfileTrace& trace, std::string* out);
-LQS_DETERMINISTIC
-void EncodePlanSummary(const PlanSummary& summary, std::string* out);
+/// Appends exactly one complete frame to `*out` (existing content is
+/// preserved). LQS_DETERMINISTIC: identical input produces byte-identical
+/// frames — the golden tests pin the bytes; the static checker pins the call
+/// graph.
 LQS_DETERMINISTIC
 void EncodePollResponse(const PollResponse& response, std::string* out);
-LQS_DETERMINISTIC
-void EncodeSnapshotDelta(const SnapshotDelta& delta, std::string* out);
 
-/// Total size (header + payload) of the frame starting at `buffer[0]`, for
-/// splitting a stream of concatenated frames. Validates magic, version and
-/// that the declared payload fits in the buffer.
-StatusOr<size_t> WireFrameSize(std::string_view buffer);
-
-/// Message type of a frame whose header is intact (payload not inspected).
-StatusOr<WireType> WireFrameType(std::string_view frame);
-
-/// Decoders require `frame` to be exactly one well-formed frame of the
-/// matching type: header checks, CRC check, full payload consumption.
-/// LQS_DETERMINISTIC like the encoders: same frame, same result (including
-/// the exact Status on malformed input).
-LQS_DETERMINISTIC
-StatusOr<ProfileSnapshot> DecodeSnapshot(std::string_view frame);
-LQS_DETERMINISTIC
-StatusOr<ProfileTrace> DecodeTrace(std::string_view frame);
-LQS_DETERMINISTIC
-StatusOr<PlanSummary> DecodePlanSummary(std::string_view frame);
+/// Requires `frame` to be exactly one well-formed PollResponse frame:
+/// header checks, CRC check, full payload consumption. LQS_DETERMINISTIC
+/// like the encoder: same frame, same result (including the exact Status on
+/// malformed input).
 LQS_DETERMINISTIC
 StatusOr<PollResponse> DecodePollResponse(std::string_view frame);
-LQS_DETERMINISTIC
-StatusOr<SnapshotDelta> DecodeSnapshotDelta(std::string_view frame);
 
 }  // namespace lqs
 

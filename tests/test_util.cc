@@ -1,5 +1,7 @@
 #include "tests/test_util.h"
 
+#include "remote/wire.h"
+
 namespace lqs {
 namespace testing {
 
@@ -56,6 +58,15 @@ std::vector<Row> MustExecuteRows(const Plan& plan, Catalog* catalog,
       plan, catalog, options, [&rows](const Row& r) { rows.push_back(r); });
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return rows;
+}
+
+std::string SnapshotBytes(const ProfileSnapshot& snapshot) {
+  PollResponse response;
+  response.has_snapshot = true;
+  response.snapshot = snapshot;
+  std::string frame;
+  EncodePollResponse(response, &frame);
+  return frame;
 }
 
 }  // namespace testing

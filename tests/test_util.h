@@ -8,6 +8,7 @@
 #include "gtest/gtest.h"
 
 #include "common/statusor.h"
+#include "dmv/query_profile.h"
 #include "exec/executor.h"
 #include "exec/plan.h"
 #include "storage/catalog.h"
@@ -46,6 +47,12 @@ ExecutionResult MustExecute(const Plan& plan, Catalog* catalog,
 /// Runs the plan collecting all result rows.
 std::vector<Row> MustExecuteRows(const Plan& plan, Catalog* catalog,
                                  ExecOptions options = {});
+
+/// The wire frame of a full-snapshot PollResponse carrying `snapshot`
+/// (request id 0). Two snapshots encode to the same bytes exactly when
+/// every field matches bit for bit, so byte-exact snapshot comparisons go
+/// through this.
+std::string SnapshotBytes(const ProfileSnapshot& snapshot);
 
 }  // namespace testing
 }  // namespace lqs

@@ -1,14 +1,18 @@
-// Wire-format contract (src/remote/wire.h, DESIGN.md §10):
-//  - decode→re-encode is byte-identical for every message type, including
-//    randomized ProfileTraces with adversarial field values (the property
-//    the fault-tolerant client leans on: an accepted snapshot is exactly
-//    what the server serialized, bit-for-bit doubles included);
-//  - frames are self-delimiting: WireFrameSize/WireFrameType split a
-//    concatenated stream without decoding payloads;
-//  - every decoder is total: truncation at *every* prefix length, a flip of
-//    *every* bit, wrong magic/version/type, trailing bytes and garbage all
-//    return a clean non-OK Status — never a crash, never an out-of-bounds
-//    read (the sanitizer CI jobs run this file under ASan/UBSan).
+// Wire-format contract (src/remote/wire.h, DESIGN.md §10), on the one
+// message that crosses the link, the PollResponse, in both its arms (full
+// snapshot and delta):
+//  - decode→re-encode is byte-identical, including randomized snapshots
+//    with adversarial field values (the property the fault-tolerant client
+//    leans on: an accepted snapshot is exactly what the server serialized,
+//    bit-for-bit doubles included);
+//  - the decoder is total: truncation at *every* prefix length, a flip of
+//    *every* bit, wrong magic/version/type, trailing bytes, padded varints
+//    and garbage all return a clean non-OK Status — never a crash, never an
+//    out-of-bounds read (the sanitizer CI jobs run this file under
+//    ASan/UBSan);
+//  - a seeded mutation loop that reseals the CRC drives damaged payloads
+//    into the body decoders: each frame fails or re-encodes byte-identically;
+//  - deltas reassemble their target bit for bit.
 
 #include <cstddef>
 #include <string>
@@ -17,16 +21,12 @@
 #include "gtest/gtest.h"
 
 #include "common/rng.h"
-#include "optimizer/annotate.h"
 #include "remote/wire.h"
 #include "tests/test_util.h"
-#include "workload/plan_builder.h"
 
 namespace lqs {
 namespace testing {
 namespace {
-
-using namespace pb;  // NOLINT
 
 // Fills one operator row with adversarial values: large counters that need
 // full varint width, negative sentinel times, doubles whose bit patterns
@@ -68,274 +68,15 @@ ProfileSnapshot RandomSnapshot(Rng& rng, double time_ms) {
   return snap;
 }
 
-ProfileTrace RandomTrace(Rng& rng) {
-  ProfileTrace trace;
-  size_t count = rng.NextBelow(8);  // zero-snapshot traces are legal
-  double t = 0;
-  for (size_t i = 0; i < count; ++i) {
-    t += rng.NextDouble() * 100;
-    trace.snapshots.push_back(RandomSnapshot(rng, t));
-  }
-  t += rng.NextDouble() * 100;
-  trace.final_snapshot = RandomSnapshot(rng, t);
-  trace.total_elapsed_ms = t;
-  return trace;
-}
-
-TEST(WireTest, SnapshotRoundTripsByteIdentical) {
-  for (uint64_t seed = 1; seed <= 16; ++seed) {
-    Rng rng(seed);
-    ProfileSnapshot snap = RandomSnapshot(rng, rng.NextDouble() * 1e6);
-    std::string frame;
-    EncodeSnapshot(snap, &frame);
-
-    auto decoded = DecodeSnapshot(frame);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    // Spot-check semantic equality...
-    ASSERT_EQ(decoded.value().operators.size(), snap.operators.size());
-    EXPECT_EQ(decoded.value().time_ms, snap.time_ms);
-    for (size_t i = 0; i < snap.operators.size(); ++i) {
-      EXPECT_EQ(decoded.value().operators[i].row_count,
-                snap.operators[i].row_count);
-      EXPECT_EQ(decoded.value().operators[i].open_time_ms,
-                snap.operators[i].open_time_ms);
-    }
-    // ...then the full property: re-encoding reproduces the exact bytes.
-    std::string reencoded;
-    EncodeSnapshot(decoded.value(), &reencoded);
-    EXPECT_EQ(frame, reencoded) << "seed=" << seed;
-  }
-}
-
-TEST(WireTest, TraceRoundTripsByteIdenticalProperty) {
-  for (uint64_t seed = 1; seed <= 24; ++seed) {
-    Rng rng(seed);
-    ProfileTrace trace = RandomTrace(rng);
-    std::string frame;
-    EncodeTrace(trace, &frame);
-
-    auto decoded = DecodeTrace(frame);
-    ASSERT_TRUE(decoded.ok()) << "seed=" << seed << ": "
-                              << decoded.status().ToString();
-    ASSERT_EQ(decoded.value().snapshots.size(), trace.snapshots.size());
-    EXPECT_EQ(decoded.value().total_elapsed_ms, trace.total_elapsed_ms);
-
-    std::string reencoded;
-    EncodeTrace(decoded.value(), &reencoded);
-    EXPECT_EQ(frame, reencoded) << "seed=" << seed;
-  }
-}
-
-TEST(WireTest, ExecutedTraceRoundTripsByteIdentical) {
-  // Not just synthetic data: a trace produced by the real executor survives
-  // the wire unchanged too.
-  std::unique_ptr<Catalog> catalog = MakeTestCatalog();
-  Plan plan = MustFinalize(
-      HashJoin(JoinKind::kInner, Scan("t_small"), Scan("t_big"), {0}, {1}),
-      *catalog);
-  ASSERT_OK(AnnotatePlan(&plan, *catalog, OptimizerOptions{}));
-  ExecOptions exec;
-  exec.snapshot_interval_ms = 2.0;
-  ExecutionResult result = MustExecute(plan, catalog.get(), exec);
-  ASSERT_GT(result.trace.snapshots.size(), 2u);
-
+// The delta-arm counterpart of SnapshotBytes.
+std::string DeltaFrame(uint64_t request_id, const SnapshotDelta& delta) {
+  PollResponse response;
+  response.request_id = request_id;
+  response.has_delta = true;
+  response.delta = delta;
   std::string frame;
-  EncodeTrace(result.trace, &frame);
-  auto decoded = DecodeTrace(frame);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  std::string reencoded;
-  EncodeTrace(decoded.value(), &reencoded);
-  EXPECT_EQ(frame, reencoded);
-  EXPECT_EQ(decoded.value().TrueCardinality(0), result.trace.TrueCardinality(0));
-}
-
-TEST(WireTest, PlanSummaryRoundTripsFromRealPlan) {
-  std::unique_ptr<Catalog> catalog = MakeTestCatalog();
-  Plan plan = MustFinalize(
-      HashAgg(HashJoin(JoinKind::kInner, Scan("t_small"), Scan("t_big"), {0},
-                       {1}),
-              {2}, {Count()}),
-      *catalog);
-  ASSERT_OK(AnnotatePlan(&plan, *catalog, OptimizerOptions{}));
-
-  PlanSummary summary = PlanSummary::FromPlan(plan);
-  ASSERT_EQ(summary.nodes.size(), plan.size());
-  EXPECT_EQ(summary.nodes[0].parent_node_id, -1);  // root has no parent
-
-  std::string frame;
-  EncodePlanSummary(summary, &frame);
-  auto decoded = DecodePlanSummary(frame);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ASSERT_EQ(decoded.value().nodes.size(), summary.nodes.size());
-  for (size_t i = 0; i < summary.nodes.size(); ++i) {
-    EXPECT_EQ(decoded.value().nodes[i].node_id, summary.nodes[i].node_id);
-    EXPECT_EQ(decoded.value().nodes[i].parent_node_id,
-              summary.nodes[i].parent_node_id);
-    EXPECT_EQ(decoded.value().nodes[i].op_type, summary.nodes[i].op_type);
-    EXPECT_EQ(decoded.value().nodes[i].est_rows, summary.nodes[i].est_rows);
-    EXPECT_EQ(decoded.value().nodes[i].table_name,
-              summary.nodes[i].table_name);
-  }
-  std::string reencoded;
-  EncodePlanSummary(decoded.value(), &reencoded);
-  EXPECT_EQ(frame, reencoded);
-}
-
-TEST(WireTest, PollResponseRoundTripsWithAndWithoutSnapshot) {
-  Rng rng(7);
-  PollResponse with;
-  with.request_id = 0xDEADBEEFCAFEull;
-  with.has_snapshot = true;
-  with.query_complete = true;
-  with.snapshot = RandomSnapshot(rng, 123.5);
-
-  PollResponse without;
-  without.request_id = 2;
-
-  for (const PollResponse& msg : {with, without}) {
-    std::string frame;
-    EncodePollResponse(msg, &frame);
-    auto decoded = DecodePollResponse(frame);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(decoded.value().request_id, msg.request_id);
-    EXPECT_EQ(decoded.value().has_snapshot, msg.has_snapshot);
-    EXPECT_EQ(decoded.value().query_complete, msg.query_complete);
-    std::string reencoded;
-    EncodePollResponse(decoded.value(), &reencoded);
-    EXPECT_EQ(frame, reencoded);
-  }
-}
-
-TEST(WireTest, FrameStreamSplitsByDeclaredSize) {
-  Rng rng(11);
-  std::string stream;
-  EncodeSnapshot(RandomSnapshot(rng, 1.0), &stream);
-  size_t first_end = stream.size();
-  EncodeTrace(RandomTrace(rng), &stream);
-  size_t second_end = stream.size();
-  PollResponse resp;
-  resp.request_id = 9;
-  EncodePollResponse(resp, &stream);
-
-  std::string_view rest = stream;
-  auto size1 = WireFrameSize(rest);
-  ASSERT_TRUE(size1.ok());
-  EXPECT_EQ(size1.value(), first_end);
-  auto type1 = WireFrameType(rest.substr(0, size1.value()));
-  ASSERT_TRUE(type1.ok());
-  EXPECT_EQ(type1.value(), WireType::kSnapshot);
-
-  rest.remove_prefix(size1.value());
-  auto size2 = WireFrameSize(rest);
-  ASSERT_TRUE(size2.ok());
-  EXPECT_EQ(size2.value(), second_end - first_end);
-  EXPECT_EQ(WireFrameType(rest).value(), WireType::kTrace);
-
-  rest.remove_prefix(size2.value());
-  auto size3 = WireFrameSize(rest);
-  ASSERT_TRUE(size3.ok());
-  EXPECT_EQ(size3.value(), rest.size());
-  EXPECT_EQ(WireFrameType(rest).value(), WireType::kPollResponse);
-}
-
-TEST(WireTest, EveryTruncationFailsCleanly) {
-  Rng rng(3);
-  std::string frame;
-  EncodeSnapshot(RandomSnapshot(rng, 42.0), &frame);
-  for (size_t len = 0; len < frame.size(); ++len) {
-    std::string_view prefix(frame.data(), len);
-    auto decoded = DecodeSnapshot(prefix);
-    EXPECT_FALSE(decoded.ok()) << "prefix length " << len << " decoded";
-    // A truncated buffer must also be reported as incomplete by the framer
-    // (it cannot contain a whole frame).
-    EXPECT_FALSE(WireFrameSize(prefix).ok()) << "prefix length " << len;
-  }
-  // The untruncated frame still decodes — the loop above did not depend on
-  // a broken encoder.
-  EXPECT_TRUE(DecodeSnapshot(frame).ok());
-}
-
-TEST(WireTest, EveryBitFlipFailsCleanly) {
-  Rng rng(5);
-  ProfileSnapshot snap = RandomSnapshot(rng, 17.25);
-  std::string frame;
-  EncodeSnapshot(snap, &frame);
-  std::string reference = frame;
-  for (size_t byte = 0; byte < frame.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string damaged = frame;
-      damaged[byte] = static_cast<char>(damaged[byte] ^ (1 << bit));
-      auto decoded = DecodeSnapshot(damaged);
-      EXPECT_FALSE(decoded.ok())
-          << "flip of byte " << byte << " bit " << bit << " went unnoticed";
-    }
-  }
-  EXPECT_EQ(frame, reference);
-  EXPECT_TRUE(DecodeSnapshot(frame).ok());
-}
-
-TEST(WireTest, PayloadDamageReportsDataLoss) {
-  // Damage past the header is a CRC failure and must carry kDataLoss — the
-  // code retry policy keys on (discard payload, do not trust any field).
-  Rng rng(9);
-  std::string frame;
-  EncodeSnapshot(RandomSnapshot(rng, 1.0), &frame);
-  ASSERT_GT(frame.size(), kWireHeaderSize);
-  std::string damaged = frame;
-  damaged[kWireHeaderSize] = static_cast<char>(damaged[kWireHeaderSize] ^ 0x40);
-  auto decoded = DecodeSnapshot(damaged);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), Status::Code::kDataLoss)
-      << decoded.status().ToString();
-}
-
-TEST(WireTest, HeaderChecksRejectForeignAndFutureFrames) {
-  Rng rng(13);
-  std::string frame;
-  EncodeSnapshot(RandomSnapshot(rng, 1.0), &frame);
-
-  std::string wrong_magic = frame;
-  wrong_magic[0] = 'X';
-  EXPECT_EQ(DecodeSnapshot(wrong_magic).status().code(),
-            Status::Code::kInvalidArgument);
-
-  std::string future_version = frame;
-  future_version[2] = static_cast<char>(kWireVersion + 1);
-  EXPECT_EQ(DecodeSnapshot(future_version).status().code(),
-            Status::Code::kUnimplemented);
-
-  // Right frame, wrong decoder: a snapshot is not a trace.
-  EXPECT_EQ(DecodeTrace(frame).status().code(),
-            Status::Code::kInvalidArgument);
-
-  // Trailing bytes break the exactly-one-frame contract.
-  std::string trailing = frame + '\0';
-  EXPECT_FALSE(DecodeSnapshot(trailing).ok());
-}
-
-TEST(WireTest, GarbageInputsFailWithoutCrashing) {
-  EXPECT_FALSE(DecodeSnapshot("").ok());
-  EXPECT_FALSE(DecodeTrace("LQ").ok());
-  EXPECT_FALSE(DecodePollResponse(std::string(kWireHeaderSize, '\0')).ok());
-  EXPECT_FALSE(WireFrameSize("").ok());
-  EXPECT_FALSE(WireFrameType("L").ok());
-  Rng rng(21);
-  for (int i = 0; i < 64; ++i) {
-    std::string garbage(rng.NextBelow(200), '\0');
-    for (auto& c : garbage) c = static_cast<char>(rng.NextBelow(256));
-    // Any status is fine; surviving the bytes is the property.
-    (void)DecodeSnapshot(garbage);      // lqs-verify: status-ok(fuzz loop)
-    (void)DecodeTrace(garbage);         // lqs-verify: status-ok(fuzz loop)
-    (void)DecodePlanSummary(garbage);   // lqs-verify: status-ok(fuzz loop)
-    (void)DecodePollResponse(garbage);  // lqs-verify: status-ok(fuzz loop)
-    (void)WireFrameSize(garbage);       // lqs-verify: status-ok(fuzz loop)
-  }
-}
-
-TEST(WireTest, Crc32MatchesKnownVectors) {
-  // IEEE 802.3 check value for "123456789".
-  EXPECT_EQ(WireCrc32("123456789", 9), 0xCBF43926u);
-  EXPECT_EQ(WireCrc32("", 0), 0x00000000u);
+  EncodePollResponse(response, &frame);
+  return frame;
 }
 
 // Advances a copy of `base` the way a running query would: same shape, some
@@ -369,6 +110,269 @@ ProfileSnapshot MutateTowards(Rng& rng, const ProfileSnapshot& base,
   return next;
 }
 
+// One random base snapshot and a later observation of it, shipped both
+// ways: as a full-snapshot frame and as a delta frame against the base.
+struct ArmFrames {
+  ProfileSnapshot base;
+  std::string full;
+  std::string delta;
+};
+
+ArmFrames MakeArmFrames(uint64_t seed) {
+  Rng rng(seed);
+  ArmFrames arms;
+  arms.base = RandomSnapshot(rng, 1 + rng.NextDouble() * 1e5);
+  const ProfileSnapshot target =
+      MutateTowards(rng, arms.base, arms.base.time_ms + 10);
+  arms.full = SnapshotBytes(target);
+  auto delta = MakeSnapshotDelta(arms.base, target);
+  EXPECT_TRUE(delta.ok()) << delta.status().ToString();
+  arms.delta = DeltaFrame(seed, delta.value());
+  return arms;
+}
+
+// Rewrites the header's payload length and CRC to match the bytes after
+// it, so a damaged payload passes the frame checks and reaches the body
+// decoders.
+void Reseal(std::string* frame) {
+  const size_t payload = frame->size() - kWireHeaderSize;
+  const uint32_t crc = WireCrc32(frame->data() + kWireHeaderSize, payload);
+  for (int i = 0; i < 4; ++i) {
+    (*frame)[4 + i] = static_cast<char>(payload >> (8 * i));
+    (*frame)[8 + i] = static_cast<char>(crc >> (8 * i));
+  }
+}
+
+TEST(WireTest, SnapshotRoundTripsByteIdentical) {
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    Rng rng(seed);
+    ProfileSnapshot snap = RandomSnapshot(rng, rng.NextDouble() * 1e6);
+    const std::string frame = SnapshotBytes(snap);
+
+    auto decoded = DecodePollResponse(frame);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ASSERT_TRUE(decoded.value().has_snapshot);
+    // Spot-check semantic equality...
+    const ProfileSnapshot& got = decoded.value().snapshot;
+    ASSERT_EQ(got.operators.size(), snap.operators.size());
+    EXPECT_EQ(got.time_ms, snap.time_ms);
+    for (size_t i = 0; i < snap.operators.size(); ++i) {
+      EXPECT_EQ(got.operators[i].row_count, snap.operators[i].row_count);
+      EXPECT_EQ(got.operators[i].open_time_ms, snap.operators[i].open_time_ms);
+    }
+    // ...then the full property: re-encoding reproduces the exact bytes.
+    std::string reencoded;
+    EncodePollResponse(decoded.value(), &reencoded);
+    EXPECT_EQ(frame, reencoded) << "seed=" << seed;
+  }
+}
+
+TEST(WireTest, PollResponseRoundTripsWithAndWithoutSnapshot) {
+  Rng rng(7);
+  PollResponse with;
+  with.request_id = 0xDEADBEEFCAFEull;
+  with.has_snapshot = true;
+  with.query_complete = true;
+  with.snapshot = RandomSnapshot(rng, 123.5);
+
+  PollResponse without;
+  without.request_id = 2;
+
+  // The widest varint: ten bytes, the last one carrying bit 63 alone.
+  PollResponse widest;
+  widest.request_id = ~0ull;
+
+  for (const PollResponse& msg : {with, without, widest}) {
+    std::string frame;
+    EncodePollResponse(msg, &frame);
+    auto decoded = DecodePollResponse(frame);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded.value().request_id, msg.request_id);
+    EXPECT_EQ(decoded.value().has_snapshot, msg.has_snapshot);
+    EXPECT_EQ(decoded.value().query_complete, msg.query_complete);
+    std::string reencoded;
+    EncodePollResponse(decoded.value(), &reencoded);
+    EXPECT_EQ(frame, reencoded);
+  }
+}
+
+TEST(WireTest, EveryTruncationFailsCleanly) {
+  Rng rng(3);
+  const std::string frame = SnapshotBytes(RandomSnapshot(rng, 42.0));
+  for (size_t len = 0; len < frame.size(); ++len) {
+    std::string_view prefix(frame.data(), len);
+    EXPECT_FALSE(DecodePollResponse(prefix).ok())
+        << "prefix length " << len << " decoded";
+  }
+  // The untruncated frame still decodes — the loop above did not depend on
+  // a broken encoder.
+  EXPECT_TRUE(DecodePollResponse(frame).ok());
+}
+
+TEST(WireTest, EveryBitFlipFailsCleanly) {
+  Rng rng(5);
+  const std::string frame = SnapshotBytes(RandomSnapshot(rng, 17.25));
+  for (size_t byte = 0; byte < frame.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string damaged = frame;
+      damaged[byte] = static_cast<char>(damaged[byte] ^ (1 << bit));
+      EXPECT_FALSE(DecodePollResponse(damaged).ok())
+          << "flip of byte " << byte << " bit " << bit << " went unnoticed";
+    }
+  }
+  EXPECT_TRUE(DecodePollResponse(frame).ok());
+}
+
+TEST(WireTest, PayloadDamageReportsDataLoss) {
+  // Damage past the header is a CRC failure and must carry kDataLoss — the
+  // code retry policy keys on (discard payload, do not trust any field).
+  const ArmFrames arms = MakeArmFrames(9);
+  for (const std::string& frame : {arms.full, arms.delta}) {
+    ASSERT_GT(frame.size(), kWireHeaderSize);
+    std::string damaged = frame;
+    damaged[kWireHeaderSize] =
+        static_cast<char>(damaged[kWireHeaderSize] ^ 0x40);
+    auto decoded = DecodePollResponse(damaged);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), Status::Code::kDataLoss)
+        << decoded.status().ToString();
+  }
+}
+
+TEST(WireTest, HeaderChecksRejectForeignAndFutureFrames) {
+  const ArmFrames arms = MakeArmFrames(13);
+  for (const std::string& frame : {arms.full, arms.delta}) {
+    std::string wrong_magic = frame;
+    wrong_magic[0] = 'X';
+    EXPECT_EQ(DecodePollResponse(wrong_magic).status().code(),
+              Status::Code::kInvalidArgument);
+
+    std::string future_version = frame;
+    future_version[2] = static_cast<char>(kWireVersion + 1);
+    EXPECT_EQ(DecodePollResponse(future_version).status().code(),
+              Status::Code::kUnimplemented);
+
+    // A retired message type (2 was a standalone snapshot) is foreign.
+    std::string wrong_type = frame;
+    wrong_type[3] = 2;
+    EXPECT_EQ(DecodePollResponse(wrong_type).status().code(),
+              Status::Code::kInvalidArgument);
+
+    // Trailing bytes break the exactly-one-frame contract, whether they sit
+    // outside the declared length or inside a resealed payload.
+    std::string trailing = frame + '\0';
+    EXPECT_FALSE(DecodePollResponse(trailing).ok());
+    Reseal(&trailing);
+    EXPECT_EQ(DecodePollResponse(trailing).status().code(),
+              Status::Code::kInvalidArgument);
+  }
+}
+
+TEST(WireTest, GarbageInputsFailWithoutCrashing) {
+  EXPECT_FALSE(DecodePollResponse("").ok());
+  EXPECT_FALSE(DecodePollResponse("LQ").ok());
+  EXPECT_FALSE(DecodePollResponse(std::string(kWireHeaderSize, '\0')).ok());
+  Rng rng(21);
+  for (int i = 0; i < 64; ++i) {
+    std::string garbage(rng.NextBelow(200), '\0');
+    for (auto& c : garbage) c = static_cast<char>(rng.NextBelow(256));
+    // Any status is fine; surviving the bytes is the property.
+    (void)DecodePollResponse(garbage);  // lqs-verify: status-ok(fuzz loop)
+  }
+}
+
+// PutVarint writes every value in its shortest form, so a varint padded
+// with a zero final byte can only come from damage or a foreign encoder.
+// Accepting it would decode to a value that re-encodes one byte shorter.
+TEST(WireTest, PaddedVarintIsRejected) {
+  std::string canonical;
+  PollResponse response;
+  response.request_id = 2;
+  EncodePollResponse(response, &canonical);
+  ASSERT_EQ(canonical.size(), kWireHeaderSize + 2);  // request id, flags
+  ASSERT_TRUE(DecodePollResponse(canonical).ok());
+
+  // request id 2 as 0x82 0x00, then the flags byte; CRC resealed.
+  std::string padded = canonical.substr(0, kWireHeaderSize);
+  padded += '\x82';
+  padded += '\0';
+  padded += canonical.back();
+  Reseal(&padded);
+  auto decoded = DecodePollResponse(padded);
+  ASSERT_FALSE(decoded.ok()) << "padded varint decoded";
+  EXPECT_EQ(decoded.status().code(), Status::Code::kInvalidArgument)
+      << decoded.status().ToString();
+}
+
+// A seeded mutation loop over both arms. Each mutated frame is resealed so
+// the damage gets past the CRC into the body decoders, where it must either
+// fail with a Status or decode to a message that re-encodes to exactly the
+// mutated bytes. A decoded delta arm must also apply (or fail to apply) to
+// its base without crashing.
+TEST(WireTest, MutatedFramesFailOrReencodeByteIdentically) {
+  constexpr int kIterations = 4000;
+  std::vector<ArmFrames> corpus;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    corpus.push_back(MakeArmFrames(seed));
+  }
+  Rng rng(0x5eed);
+  int decoded_full = 0;
+  int decoded_delta = 0;
+  for (int i = 0; i < kIterations; ++i) {
+    const ArmFrames& arms = corpus[rng.NextBelow(corpus.size())];
+    std::string frame = rng.NextBool(0.5) ? arms.full : arms.delta;
+    const int mutations = 1 + static_cast<int>(rng.NextBelow(3));
+    for (int m = 0; m < mutations && frame.size() > kWireHeaderSize; ++m) {
+      const size_t payload = frame.size() - kWireHeaderSize;
+      const size_t at = kWireHeaderSize + rng.NextBelow(payload);
+      switch (rng.NextBelow(5)) {
+        case 0:  // flip one bit
+          frame[at] = static_cast<char>(frame[at] ^ (1 << rng.NextBelow(8)));
+          break;
+        case 1:  // overwrite one byte
+          frame[at] = static_cast<char>(rng.NextBelow(256));
+          break;
+        case 2:  // insert one byte
+          frame.insert(at, 1, static_cast<char>(rng.NextBelow(256)));
+          break;
+        case 3:  // delete one byte
+          frame.erase(at, 1);
+          break;
+        case 4:  // pad: set the continuation bit, follow it with a zero
+          frame[at] = static_cast<char>(frame[at] | 0x80);
+          frame.insert(at + 1, 1, '\0');
+          break;
+      }
+    }
+    Reseal(&frame);
+    StatusOr<PollResponse> decoded = DecodePollResponse(frame);
+    if (!decoded.ok()) continue;
+    std::string reencoded;
+    EncodePollResponse(decoded.value(), &reencoded);
+    ASSERT_TRUE(reencoded == frame)
+        << "iteration " << i << ": a " << frame.size()
+        << "-byte frame decoded but re-encodes to " << reencoded.size()
+        << " different bytes";
+    if (decoded.value().has_snapshot) ++decoded_full;
+    if (!decoded.value().has_delta) continue;
+    ++decoded_delta;
+    ProfileSnapshot out;
+    Status applied = ApplySnapshotDelta(decoded.value().delta, arms.base, &out);
+    EXPECT_TRUE(applied.ok() || applied.code() == Status::Code::kNotFound ||
+                applied.code() == Status::Code::kInvalidArgument)
+        << "iteration " << i << ": " << applied.ToString();
+  }
+  // The loop reached the body decoders of both arms, not just the framing.
+  EXPECT_GT(decoded_full, kIterations / 20);
+  EXPECT_GT(decoded_delta, kIterations / 20);
+}
+
+TEST(WireTest, Crc32MatchesKnownVectors) {
+  // IEEE 802.3 check value for "123456789".
+  EXPECT_EQ(WireCrc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(WireCrc32("", 0), 0x00000000u);
+}
+
 TEST(WireTest, DeltaReassemblyIsByteExactOnRandomizedPairs) {
   for (uint64_t seed = 1; seed <= 24; ++seed) {
     Rng rng(seed);
@@ -380,26 +384,23 @@ TEST(WireTest, DeltaReassemblyIsByteExactOnRandomizedPairs) {
     ASSERT_TRUE(delta.ok()) << "seed=" << seed << ": "
                             << delta.status().ToString();
 
-    // The delta frame round-trips byte-identically like every other frame.
-    std::string frame;
-    EncodeSnapshotDelta(delta.value(), &frame);
-    EXPECT_EQ(WireFrameType(frame).value(), WireType::kSnapshotDelta);
-    auto decoded = DecodeSnapshotDelta(frame);
+    // The delta arm round-trips byte-identically like the full arm.
+    const std::string frame = DeltaFrame(seed, delta.value());
+    auto decoded = DecodePollResponse(frame);
     ASSERT_TRUE(decoded.ok()) << "seed=" << seed << ": "
                               << decoded.status().ToString();
+    ASSERT_TRUE(decoded.value().has_delta);
     std::string reencoded;
-    EncodeSnapshotDelta(decoded.value(), &reencoded);
+    EncodePollResponse(decoded.value(), &reencoded);
     EXPECT_EQ(frame, reencoded) << "seed=" << seed;
 
     // The property the client leans on: applying the decoded delta to the
     // base reproduces the target bit-for-bit — the reassembled snapshot is
-    // indistinguishable (under EncodeSnapshot) from a full-snapshot send.
+    // indistinguishable from a full-snapshot send.
     ProfileSnapshot reassembled;
-    ASSERT_OK(ApplySnapshotDelta(decoded.value(), base, &reassembled));
-    std::string full_target, full_reassembled;
-    EncodeSnapshot(target, &full_target);
-    EncodeSnapshot(reassembled, &full_reassembled);
-    EXPECT_EQ(full_target, full_reassembled) << "seed=" << seed;
+    ASSERT_OK(ApplySnapshotDelta(decoded.value().delta, base, &reassembled));
+    EXPECT_EQ(SnapshotBytes(target), SnapshotBytes(reassembled))
+        << "seed=" << seed;
   }
 }
 
@@ -428,9 +429,8 @@ TEST(WireTest, DeltaCarriesOnlyChangedOperatorsAndShrinksTheFrame) {
             static_cast<uint32_t>(kDeltaRowCount) | kDeltaCpuTime);
   EXPECT_EQ(delta.value().ops[0].row_count_delta, 42);
 
-  std::string delta_frame, full_frame;
-  EncodeSnapshotDelta(delta.value(), &delta_frame);
-  EncodeSnapshot(target, &full_frame);
+  const std::string delta_frame = DeltaFrame(1, delta.value());
+  const std::string full_frame = SnapshotBytes(target);
   EXPECT_LT(delta_frame.size() * 3, full_frame.size())
       << "steady-state delta should be a small fraction of a full snapshot";
 
@@ -442,10 +442,7 @@ TEST(WireTest, DeltaCarriesOnlyChangedOperatorsAndShrinksTheFrame) {
   EXPECT_TRUE(empty.value().ops.empty());
   ProfileSnapshot out;
   ASSERT_OK(ApplySnapshotDelta(empty.value(), base, &out));
-  std::string a, b;
-  EncodeSnapshot(base, &a);
-  EncodeSnapshot(out, &b);
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(SnapshotBytes(base), SnapshotBytes(out));
 }
 
 TEST(WireTest, DeltaAgainstWrongBaseIsNotFound) {
@@ -493,28 +490,21 @@ TEST(WireTest, DeltaRefusesStructurallyMismatchedPairs) {
 }
 
 TEST(WireTest, DeltaFrameSurvivesTruncationAndBitFlips) {
-  Rng rng(43);
-  ProfileSnapshot base = RandomSnapshot(rng, 900.0);
-  ProfileSnapshot target = MutateTowards(rng, base, 930.0);
-  auto delta = MakeSnapshotDelta(base, target);
-  ASSERT_TRUE(delta.ok());
-  std::string frame;
-  EncodeSnapshotDelta(delta.value(), &frame);
-
+  const std::string frame = MakeArmFrames(43).delta;
   for (size_t len = 0; len < frame.size(); ++len) {
     std::string_view prefix(frame.data(), len);
-    EXPECT_FALSE(DecodeSnapshotDelta(prefix).ok())
+    EXPECT_FALSE(DecodePollResponse(prefix).ok())
         << "prefix length " << len << " decoded";
   }
   for (size_t byte = 0; byte < frame.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string damaged = frame;
       damaged[byte] = static_cast<char>(damaged[byte] ^ (1 << bit));
-      EXPECT_FALSE(DecodeSnapshotDelta(damaged).ok())
+      EXPECT_FALSE(DecodePollResponse(damaged).ok())
           << "flip of byte " << byte << " bit " << bit << " went unnoticed";
     }
   }
-  EXPECT_TRUE(DecodeSnapshotDelta(frame).ok());
+  EXPECT_TRUE(DecodePollResponse(frame).ok());
 }
 
 TEST(WireTest, PollResponseDeltaArmRoundTripsByteIdentical) {
@@ -524,13 +514,7 @@ TEST(WireTest, PollResponseDeltaArmRoundTripsByteIdentical) {
   auto delta = MakeSnapshotDelta(base, target);
   ASSERT_TRUE(delta.ok());
 
-  PollResponse msg;
-  msg.request_id = 77;
-  msg.has_delta = true;
-  msg.delta = delta.value();
-
-  std::string frame;
-  EncodePollResponse(msg, &frame);
+  const std::string frame = DeltaFrame(77, delta.value());
   auto decoded = DecodePollResponse(frame);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.value().request_id, 77u);
@@ -544,10 +528,7 @@ TEST(WireTest, PollResponseDeltaArmRoundTripsByteIdentical) {
   // The reassembly chain works through the response envelope too.
   ProfileSnapshot out;
   ASSERT_OK(ApplySnapshotDelta(decoded.value().delta, base, &out));
-  std::string full_target, full_out;
-  EncodeSnapshot(target, &full_target);
-  EncodeSnapshot(out, &full_out);
-  EXPECT_EQ(full_target, full_out);
+  EXPECT_EQ(SnapshotBytes(target), SnapshotBytes(out));
 }
 
 }  // namespace

@@ -802,16 +802,8 @@ def check_locks(model: SourceModel, root: str) -> List[Finding]:
 # of these loses its LQS_DETERMINISTIC marker.
 REQUIRED_DETERMINISTIC: Tuple[str, ...] = (
     "ProgressEstimator::EstimateInto",
-    "EncodeSnapshot",
-    "DecodeSnapshot",
-    "EncodeTrace",
-    "DecodeTrace",
-    "EncodePlanSummary",
-    "DecodePlanSummary",
     "EncodePollResponse",
     "DecodePollResponse",
-    "EncodeSnapshotDelta",
-    "DecodeSnapshotDelta",
     "MakeSnapshotDelta",
     "ApplySnapshotDelta",
     "MonitorService::ComputeStatus",

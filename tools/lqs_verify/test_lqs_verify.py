@@ -459,11 +459,11 @@ class DeterminismRequiredRootsTest(unittest.TestCase):
     def test_reverting_a_wire_marker_is_a_finding(self):
         findings = self.findings_with(self.strip_marker(
             "wire.h",
-            "LQS_DETERMINISTIC\nStatusOr<ProfileSnapshot> DecodeSnapshot",
-            "StatusOr<ProfileSnapshot> DecodeSnapshot"))
+            "LQS_DETERMINISTIC\nStatusOr<PollResponse> DecodePollResponse",
+            "StatusOr<PollResponse> DecodePollResponse"))
         self.assertEqual(len(findings), 1,
                          [f.render() for f in findings])
-        self.assertIn("'DecodeSnapshot'", findings[0].message)
+        self.assertIn("'DecodePollResponse'", findings[0].message)
 
     def test_reverting_the_monitor_marker_is_a_finding(self):
         findings = self.findings_with(self.strip_marker(

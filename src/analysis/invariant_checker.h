@@ -12,7 +12,7 @@
 namespace lqs {
 
 /// Knobs of the runtime invariant checker. The defaults are cheap enough to
-/// leave on wherever snapshots are replayed (see bench/overhead_benchmark):
+/// leave on wherever snapshots are replayed (perfbench's analysis.check_ns):
 /// every per-snapshot check is O(nodes) over the already-computed report.
 struct InvariantCheckerOptions {
   /// Allowed decrease of query progress between consecutive snapshots when

@@ -59,8 +59,8 @@ struct EstimatorOptions {
   /// finished-pipeline alpha/weight freezing) and the hoisted catalog
   /// statics, forcing the full stateless recomputation the paper's §2.2
   /// client performs on every poll. Reports are bit-identical either way
-  /// (enforced by tests/estimator_workspace_test.cc); the flag exists so
-  /// bench/estimator_throughput can measure both cost profiles in one run.
+  /// (enforced by tests/estimator_workspace_test.cc); the flag keeps that
+  /// stateless reference, which the test compares under every preset.
   bool incremental = true;
   /// Which bounding engine(s) derive the cardinality corridor the online
   /// clamp uses when `bound_cardinality` is set (src/lqs/bounds.h). The

@@ -130,8 +130,8 @@ struct MonitorStats {
   /// Ticks on which a session served a held snapshot.
   uint64_t stale_reports = 0;
   /// Wire bytes received across all remote sessions — the number the delta
-  /// protocol drives down (bench/monitor_scale divides it out per session
-  /// per second, full vs delta).
+  /// protocol drives down (remote_test's fleet case holds delta under a
+  /// third of full).
   uint64_t transport_bytes = 0;
   /// Snapshot deltas applied against acked bases, resyncs that fell back
   /// to a keyframe, and responses answering a different request_id than
@@ -173,8 +173,8 @@ struct MonitorStats {
 /// the tick times, never on options.num_threads or scheduling. Work is
 /// computed in parallel into per-session slots and returned in session
 /// registration order, so rendering the returned statuses produces
-/// byte-identical output for 1 thread and N threads (bench/monitor_scale.cc
-/// verifies this on every run).
+/// byte-identical output for 1 thread and N threads (remote_test's fleet
+/// case verifies this on every run).
 ///
 /// Threading: register and tick from one driver thread (sessions_ and the
 /// estimator cache are driver-only by design). The aggregate counters are

@@ -190,28 +190,30 @@ TEST_F(EstimatorWorkspaceTest, OutOfOrderReplayMatchesStatelessEstimate) {
 
 TEST_F(EstimatorWorkspaceTest, NonIncrementalModeIsBitIdentical) {
   // incremental=false must disable only the cost short-circuits, never
-  // change a value: it is the bench baseline, and its output feeds the
-  // same equivalence contract.
+  // change a value: it is the stateless reference, under every preset.
   for (const ExecutedWorkload& ew : GetWorkloads()) {
     for (size_t qi = 0; qi < ew.workload.queries.size(); ++qi) {
       const WorkloadQuery& q = ew.workload.queries[qi];
       const ProfileTrace& trace = ew.runs[qi].trace;
-      EstimatorOptions on = EstimatorOptions::Lqs();
-      EstimatorOptions off = EstimatorOptions::Lqs();
-      off.incremental = false;
-      ProgressEstimator est_on(&q.plan, ew.workload.catalog.get(), on);
-      ProgressEstimator est_off(&q.plan, ew.workload.catalog.get(), off);
-      ProgressEstimator::Workspace ws_on;
-      ProgressEstimator::Workspace ws_off;
-      ProgressReport r_on;
-      ProgressReport r_off;
-      for (size_t i = 0; i < trace.snapshots.size(); ++i) {
-        est_on.EstimateInto(trace.snapshots[i], &ws_on, &r_on);
-        est_off.EstimateInto(trace.snapshots[i], &ws_off, &r_off);
-        ExpectReportsIdentical(r_off, r_on,
-                               ew.workload.name + "/" + q.name +
-                                   " incremental on/off snapshot#" +
-                                   std::to_string(i));
+      for (const Preset& preset : AllPresets()) {
+        EstimatorOptions off = preset.options;
+        off.incremental = false;
+        ProgressEstimator est_on(&q.plan, ew.workload.catalog.get(),
+                                 preset.options);
+        ProgressEstimator est_off(&q.plan, ew.workload.catalog.get(), off);
+        ProgressEstimator::Workspace ws_on;
+        ProgressEstimator::Workspace ws_off;
+        ProgressReport r_on;
+        ProgressReport r_off;
+        for (size_t i = 0; i < trace.snapshots.size(); ++i) {
+          est_on.EstimateInto(trace.snapshots[i], &ws_on, &r_on);
+          est_off.EstimateInto(trace.snapshots[i], &ws_off, &r_off);
+          ExpectReportsIdentical(r_off, r_on,
+                                 ew.workload.name + "/" + q.name + "/" +
+                                     preset.name +
+                                     " incremental on/off snapshot#" +
+                                     std::to_string(i));
+        }
       }
     }
   }

@@ -1,6 +1,8 @@
 #ifndef LQS_TESTS_TEST_UTIL_H_
 #define LQS_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -53,6 +55,31 @@ std::vector<Row> MustExecuteRows(const Plan& plan, Catalog* catalog,
 /// every field matches bit for bit, so byte-exact snapshot comparisons go
 /// through this.
 std::string SnapshotBytes(const ProfileSnapshot& snapshot);
+
+/// FNV-1a over exact bit patterns, for digests that pin output bit for bit:
+/// a double hashes by its bits, a vector by its length and then its
+/// elements.
+class BitHash {
+ public:
+  void AddWord(uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ = (hash_ ^ ((word >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+    }
+  }
+  void AddDouble(double value) {
+    uint64_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    AddWord(bits);
+  }
+  void AddVector(const std::vector<double>& values) {
+    AddWord(values.size());
+    for (double v : values) AddDouble(v);
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ull;  // FNV-1a offset basis
+};
 
 }  // namespace testing
 }  // namespace lqs

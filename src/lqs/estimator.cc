@@ -644,11 +644,9 @@ void ProgressEstimator::PipelineWeightsInto(const std::vector<double>& n_hat,
   // frozen-weight cache sound: once every pipeline whose refined
   // cardinalities feed the sum has finished (and none sits under an
   // NL-inner side), every input to the sum is final and the cached value
-  // is exact. Cost-feedback multipliers may change between calls, so the
-  // cache is bypassed entirely while feedback is attached.
+  // is exact.
   for (const PipelineInfo& p : analysis_.pipelines) {
-    bool can_freeze = options_.incremental && feedback_ == nullptr &&
-                      analysis_.weight_freezable[p.id];
+    bool can_freeze = options_.incremental && analysis_.weight_freezable[p.id];
     if (can_freeze) {
       for (int d : analysis_.weight_deps[p.id]) {
         can_freeze = can_freeze && ws->pipeline_finished[d] != 0;
@@ -663,11 +661,7 @@ void ProgressEstimator::PipelineWeightsInto(const std::vector<double>& n_hat,
     for (const PlanAnalysis::WeightContrib& c :
          analysis_.weight_contribs[p.id]) {
       const PlanNode& node = plan_->node(c.node);
-      const double multiplier =
-          feedback_ != nullptr ? feedback_->Multiplier(node.type) : 1.0;
-      w += (c.boundary ? BoundaryCostMs(node, n_hat)
-                       : OwnCostMs(node, n_hat)) *
-           multiplier;
+      w += c.boundary ? BoundaryCostMs(node, n_hat) : OwnCostMs(node, n_hat);
     }
     w = std::max(w, 1e-6);
     ws->weight[p.id] = w;

@@ -10,7 +10,6 @@
 #include "dmv/query_profile.h"
 #include "exec/plan.h"
 #include "lqs/bounds.h"
-#include "lqs/feedback.h"
 #include "lqs/pipeline.h"
 #include "storage/catalog.h"
 
@@ -210,12 +209,6 @@ class ProgressEstimator {
   const Plan& plan() const { return *plan_; }
   const Catalog& catalog() const { return *catalog_; }
 
-  /// §7(b) extension: apply learned per-operator-type cost multipliers to
-  /// the pipeline weights. `feedback` must outlive the estimator; pass
-  /// nullptr to disable. Weight freezing is disabled while feedback is set
-  /// (multipliers may change between snapshots).
-  void SetCostFeedback(const CostFeedback* feedback) { feedback_ = feedback; }
-
  private:
   /// Sizes the workspace buffers on first use and pins the workspace to
   /// this estimator; aborts on an owner/shape mismatch.
@@ -281,11 +274,10 @@ class ProgressEstimator {
   /// callers), or -1 when unknown; hoisted lookup when incremental.
   double FullScanRows(const PlanNode& node) const;
 
-  const Plan* plan_;
-  const Catalog* catalog_;
-  EstimatorOptions options_;
-  PlanAnalysis analysis_;
-  const CostFeedback* feedback_ = nullptr;
+  const Plan* const plan_;
+  const Catalog* const catalog_;
+  const EstimatorOptions options_;
+  const PlanAnalysis analysis_;
 };
 
 }  // namespace lqs

@@ -1,13 +1,6 @@
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
 #include "gtest/gtest.h"
 
 #include "lqs/estimator.h"
-#include "lqs/feedback.h"
-#include "lqs/metrics.h"
-#include "lqs/trace_csv.h"
 #include "optimizer/annotate.h"
 #include "tests/test_util.h"
 #include "workload/plan_builder.h"
@@ -18,44 +11,28 @@ namespace {
 
 using namespace pb;  // NOLINT
 
-class ExtensionsTest : public ::testing::Test {
- protected:
-  void SetUp() override { catalog_ = MakeTestCatalog(); }
+// §7(a): refined-cardinality propagation across pipeline boundaries.
 
-  Plan Annotated(std::unique_ptr<PlanNode> root, OptimizerOptions opt = {}) {
-    Plan plan = MustFinalize(std::move(root), *catalog_);
-    EXPECT_OK(AnnotatePlan(&plan, *catalog_, opt));
-    return plan;
-  }
-
-  ExecutionResult Run(const Plan& plan, double interval = 2.0) {
-    ExecOptions exec;
-    exec.snapshot_interval_ms = interval;
-    return MustExecute(plan, catalog_.get(), exec);
-  }
-
-  std::unique_ptr<Catalog> catalog_;
-};
-
-// ---------------------------------------------------------------------------
-// §7(a): refined-cardinality propagation across pipeline boundaries
-// ---------------------------------------------------------------------------
-
-TEST_F(ExtensionsTest, PropagationScalesUnstartedParents) {
+TEST(ExtensionsTest, PropagationScalesUnstartedParents) {
   // Filter badly over-estimated (planted), feeding a blocking aggregate in
   // a later pipeline. Without propagation, the aggregate's input-size view
   // stays at the inflated showplan estimate until its pipeline starts; with
   // propagation, the filter's refinement carries upward immediately.
-  Plan plan = Annotated(
+  std::unique_ptr<Catalog> catalog = MakeTestCatalog();
+  Plan plan = MustFinalize(
       Sort(HashAgg(Filter(Scan("t_big"), ColCmp(2, CompareOp::kLt, 10)), {1},
                    {Count()}),
-           {1}));
+           {1}),
+      *catalog);
+  ASSERT_OK(AnnotatePlan(&plan, *catalog, OptimizerOptions{}));
   // Plant a 20x over-estimate on the filter and everything above it.
   plan.root->VisitMutable([](PlanNode& n) {
     if (n.type == OpType::kFilter) n.est_rows = 10000;  // true: 500
   });
 
-  auto result = Run(plan);
+  ExecOptions exec;
+  exec.snapshot_interval_ms = 2.0;
+  ExecutionResult result = MustExecute(plan, catalog.get(), exec);
   // Mid-scan snapshot: filter refining, aggregate not yet emitting.
   const ProfileSnapshot* mid = nullptr;
   for (const auto& snap : result.trace.snapshots) {
@@ -69,8 +46,8 @@ TEST_F(ExtensionsTest, PropagationScalesUnstartedParents) {
   off.bound_cardinality = false;
   EstimatorOptions on = off;
   on.propagate_refinement = true;
-  ProgressEstimator est_off(&plan, catalog_.get(), off);
-  ProgressEstimator est_on(&plan, catalog_.get(), on);
+  ProgressEstimator est_off(&plan, catalog.get(), off);
+  ProgressEstimator est_on(&plan, catalog.get(), on);
   ProgressEstimator::Workspace ws_off;
   ProgressEstimator::Workspace ws_on;
   ProgressReport r_off;
@@ -87,122 +64,9 @@ TEST_F(ExtensionsTest, PropagationScalesUnstartedParents) {
   EXPECT_LE(agg_on, agg_off);
 }
 
-TEST_F(ExtensionsTest, PropagationOffMatchesPaperDefault) {
+TEST(ExtensionsTest, PropagationOffMatchesPaperDefault) {
   EXPECT_FALSE(EstimatorOptions::Lqs().propagate_refinement);
   EXPECT_FALSE(EstimatorOptions::DriverNodeRefined().propagate_refinement);
-}
-
-// ---------------------------------------------------------------------------
-// §7(b): cost feedback
-// ---------------------------------------------------------------------------
-
-TEST_F(ExtensionsTest, FeedbackMultipliersNearOneOnCalibratedEngine) {
-  // Our optimizer and executor share cost constants, so observed/predicted
-  // ratios should be close to 1 for high-volume operators.
-  CostFeedback feedback;
-  for (int i = 0; i < 10; ++i) {
-    Plan plan = Annotated(
-        HashAgg(HashJoin(JoinKind::kInner, Scan("t_small"), Scan("t_big"),
-                         {0}, {1}),
-                {2}, {Count()}));
-    auto result = Run(plan, 50.0);
-    feedback.Observe(plan, result.trace);
-  }
-  EXPECT_EQ(feedback.observations(), 10);
-  EXPECT_NEAR(feedback.Multiplier(OpType::kTableScan), 1.0, 0.5);
-  EXPECT_NEAR(feedback.Multiplier(OpType::kHashJoin), 1.0, 0.6);
-  // Unobserved types stay exactly 1.
-  EXPECT_DOUBLE_EQ(feedback.Multiplier(OpType::kMergeJoin), 1.0);
-}
-
-TEST_F(ExtensionsTest, FeedbackPlugsIntoEstimator) {
-  Plan plan = Annotated(
-      Sort(HashJoin(JoinKind::kInner, Scan("t_small"), Scan("t_big"), {0},
-                    {1}),
-           {2}));
-  auto result = Run(plan);
-  CostFeedback feedback;
-  feedback.Observe(plan, result.trace);
-  ProgressEstimator est(&plan, catalog_.get(), EstimatorOptions::Lqs());
-  est.SetCostFeedback(&feedback);
-  // Estimation still well-formed with feedback applied.
-  ProgressEstimator::Workspace ws;
-  ProgressReport r;
-  for (const auto& snap : result.trace.snapshots) {
-    est.EstimateInto(snap, &ws, &r);
-    EXPECT_GE(r.query_progress, 0.0);
-    EXPECT_LE(r.query_progress, 1.0);
-  }
-}
-
-TEST_F(ExtensionsTest, FeedbackSmoothingLimitsEarlyInfluence) {
-  CostFeedback feedback;
-  Plan plan = Annotated(Scan("t_big"));
-  auto result = Run(plan, 100.0);
-  // Corrupt the plan's cost estimate 100x to simulate gross model error.
-  plan.root->VisitMutable([](PlanNode& n) { n.est_cpu_ms /= 100; });
-  feedback.Observe(plan, result.trace);
-  // One observation: blend = 1/8, so the multiplier moves only partway and
-  // stays clamped.
-  double m = feedback.Multiplier(OpType::kTableScan);
-  EXPECT_GT(m, 1.0);
-  EXPECT_LE(m, 10.0);
-}
-
-// ---------------------------------------------------------------------------
-// CSV export
-// ---------------------------------------------------------------------------
-
-TEST_F(ExtensionsTest, TraceCsvRoundTrips) {
-  Plan plan = Annotated(Filter(Scan("t_big"), ColCmp(2, CompareOp::kLt, 10)));
-  auto result = Run(plan);
-  const std::string path = ::testing::TempDir() + "/trace.csv";
-  ASSERT_OK(WriteTraceCsv(plan, result.trace, path));
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string header;
-  std::getline(in, header);
-  EXPECT_NE(header.find("time_ms,node_id,operator,row_count"),
-            std::string::npos);
-  int lines = 0;
-  std::string line;
-  while (std::getline(in, line)) lines++;
-  // (snapshots + final) x 2 operators.
-  EXPECT_EQ(lines, static_cast<int>((result.trace.snapshots.size() + 1) * 2));
-}
-
-TEST_F(ExtensionsTest, ProgressCsvHasPerOperatorColumns) {
-  Plan plan = Annotated(Sort(Scan("t_big"), {2}));
-  auto result = Run(plan);
-  const std::string path = ::testing::TempDir() + "/progress.csv";
-  ASSERT_OK(WriteProgressCsv(plan, *catalog_, result.trace,
-                             EstimatorOptions::Lqs(), path));
-  std::ifstream in(path);
-  std::string header;
-  std::getline(in, header);
-  EXPECT_NE(header.find("op_0"), std::string::npos);
-  EXPECT_NE(header.find("op_1"), std::string::npos);
-  int lines = 0;
-  std::string line;
-  double last_estimate = -1;
-  while (std::getline(in, line)) {
-    lines++;
-    // estimated column is 3rd field.
-    std::stringstream ss(line);
-    std::string field;
-    for (int i = 0; i < 3; ++i) std::getline(ss, field, ',');
-    last_estimate = std::stod(field);
-  }
-  EXPECT_EQ(lines, static_cast<int>(result.trace.snapshots.size()));
-  EXPECT_GT(last_estimate, 0.5);
-}
-
-TEST_F(ExtensionsTest, CsvRejectsBadPath) {
-  Plan plan = Annotated(Scan("t_small"));
-  auto result = Run(plan);
-  EXPECT_FALSE(
-      WriteTraceCsv(plan, result.trace, "/nonexistent_dir/x.csv").ok());
 }
 
 }  // namespace

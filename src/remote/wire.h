@@ -79,26 +79,15 @@ enum DeltaField : uint32_t {
 inline constexpr uint32_t kDeltaFieldMask = (1u << 14) - 1;
 
 /// Changes of one operator relative to the base snapshot's operator at the
-/// same index. Counter fields hold signed differences (target - base);
-/// double fields hold the XOR of the two bit patterns; `flags` holds the
-/// target's packed flag byte. Only fields whose `changed` bit is set are
-/// meaningful.
+/// same index, in DeltaField bit order: `counter[i]` is bit i as the signed
+/// difference target - base, `bits[i]` is bit 6 + i as the XOR of the two
+/// bit patterns, `flags` is the target's packed flag byte. Only entries
+/// whose `changed` bit is set are meaningful.
 struct OperatorDelta {
   uint32_t index = 0;
   uint32_t changed = 0;  ///< DeltaField bitmap
-  int64_t row_count_delta = 0;
-  int64_t rebind_count_delta = 0;
-  int64_t logical_read_count_delta = 0;
-  int64_t segment_read_count_delta = 0;
-  int64_t segment_total_count_delta = 0;
-  int64_t total_pages_delta = 0;
-  uint64_t estimate_row_count_xor = 0;
-  uint64_t open_time_xor = 0;
-  uint64_t cpu_time_xor = 0;
-  uint64_t io_time_xor = 0;
-  uint64_t last_active_xor = 0;
-  uint64_t first_row_xor = 0;
-  uint64_t close_time_xor = 0;
+  int64_t counter[6] = {};
+  uint64_t bits[7] = {};
   uint8_t flags = 0;
 };
 

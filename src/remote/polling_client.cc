@@ -97,6 +97,15 @@ const ClientView& PollingClient::Poll(double now_ms) {
   bool link_alive = false;
   double attempt_time = now_ms;
   double backoff = options_.backoff_initial_ms;
+  // Exponential backoff with deterministic jitter before the retry; virtual
+  // time advances so the next attempt asks a later question.
+  auto back_off = [&] {
+    const double capped = std::min(backoff, options_.backoff_max_ms);
+    const double jitter =
+        1.0 + options_.jitter_fraction * (2.0 * jitter_rng_.NextDouble() - 1.0);
+    attempt_time += std::max(0.0, capped * jitter);
+    backoff *= options_.backoff_multiplier;
+  };
   for (int attempt = 0; attempt < std::max(1, options_.max_attempts);
        ++attempt) {
     if (attempt > 0) ++stats_.retries;
@@ -116,14 +125,7 @@ const ClientView& PollingClient::Poll(double now_ms) {
         !result.status.ok() || result.arrival_ms > request.deadline_ms;
     if (timed_out) {
       ++stats_.transport_failures;
-      // Exponential backoff with deterministic jitter before the retry;
-      // virtual time advances so the next attempt asks a later question.
-      const double capped = std::min(backoff, options_.backoff_max_ms);
-      const double jitter =
-          1.0 + options_.jitter_fraction *
-                    (2.0 * jitter_rng_.NextDouble() - 1.0);
-      attempt_time += std::max(0.0, capped * jitter);
-      backoff *= options_.backoff_multiplier;
+      back_off();
       continue;
     }
     stats_.bytes_received += result.frame.size();
@@ -134,12 +136,7 @@ const ClientView& PollingClient::Poll(double now_ms) {
       // it separately — persistent decode errors mean version skew or a
       // broken link, not congestion.
       ++stats_.decode_errors;
-      const double capped = std::min(backoff, options_.backoff_max_ms);
-      const double jitter =
-          1.0 + options_.jitter_fraction *
-                    (2.0 * jitter_rng_.NextDouble() - 1.0);
-      attempt_time += std::max(0.0, capped * jitter);
-      backoff *= options_.backoff_multiplier;
+      back_off();
       continue;
     }
     link_alive = true;
@@ -151,8 +148,9 @@ const ClientView& PollingClient::Poll(double now_ms) {
       // link that systematically answers the wrong question is visible.
       ++stats_.request_id_mismatches;
     }
+    ProfileSnapshot reassembled;
+    ProfileSnapshot* received = nullptr;
     if (response->has_delta) {
-      ProfileSnapshot reassembled;
       Status applied =
           have_snapshot_
               ? ApplySnapshotDelta(response->delta, last_accepted_,
@@ -160,12 +158,7 @@ const ClientView& PollingClient::Poll(double now_ms) {
               : Status::NotFound("remote: delta with no base snapshot");
       if (applied.ok()) {
         ++stats_.deltas_applied;
-        if (MaybeAccept(std::move(reassembled), response->query_complete)) {
-          accepted_fresh = true;
-          break;
-        }
-        // Reassembled to a duplicate (the server had no fresh snapshot):
-        // no news; remaining attempts keep chasing.
+        received = &reassembled;
       } else if (applied.code() == Status::Code::kNotFound) {
         // Base mismatch: our ack raced a keyframe, or we never had a base.
         // State is untouched — demand a keyframe on the next request
@@ -177,32 +170,26 @@ const ClientView& PollingClient::Poll(double now_ms) {
         // frame passed CRC but the message is nonsense. Same treatment as
         // a decode error.
         ++stats_.decode_errors;
-        const double capped = std::min(backoff, options_.backoff_max_ms);
-        const double jitter =
-            1.0 + options_.jitter_fraction *
-                      (2.0 * jitter_rng_.NextDouble() - 1.0);
-        attempt_time += std::max(0.0, capped * jitter);
-        backoff *= options_.backoff_multiplier;
+        back_off();
       }
-      continue;
-    }
-    if (response->has_snapshot) {
+    } else if (response->has_snapshot) {
       // A full snapshot always resynchronizes the delta protocol, accepted
       // or not — the server honored (or pre-empted) the keyframe demand.
       need_keyframe_ = false;
-      if (MaybeAccept(std::move(response->snapshot),
-                      response->query_complete)) {
-        accepted_fresh = true;
-        break;
-      }
-      // A duplicate or reordered-stale delivery: the link works but this
-      // response carries no news. Remaining attempts chase the fresh data
-      // that may sit behind it (e.g. behind a late-delivery queue).
-      continue;
+      received = &response->snapshot;
+    } else {
+      // The server genuinely has nothing yet (query younger than its first
+      // DMV sample). Not a failure; nothing to chase this tick.
+      break;
     }
-    // The server genuinely has nothing yet (query younger than its first
-    // DMV sample). Not a failure; nothing to chase this tick.
-    break;
+    if (received != nullptr &&
+        MaybeAccept(std::move(*received), response->query_complete)) {
+      accepted_fresh = true;
+      break;
+    }
+    // No news: a duplicate or reordered-stale delivery, or a delta that
+    // could not be applied. Remaining attempts chase the fresh data that may
+    // sit behind it (e.g. behind a late-delivery queue).
   }
   BuildView(now_ms, accepted_fresh, link_alive);
   return view_;

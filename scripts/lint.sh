@@ -33,8 +33,8 @@
 #      wrappers (src/common/rng.{h,cc}, src/common/virtual_clock.h):
 #      <chrono>/<ctime>/<random> includes and time() calls feed
 #      nondeterminism the LQS_DETERMINISTIC contract (DESIGN.md §14) must
-#      never see. Suppress a justified telemetry-only use with
-#      `// lint:allow-wallclock` on the same line.
+#      never see. There is no suppression: a clock src/ needs goes into a
+#      wrapper on the allowlist.
 #
 # Every rule always runs; the script exits non-zero if ANY of them failed
 # (the failure count aggregates — one broken rule never masks another).
@@ -112,10 +112,7 @@ while IFS=: read -r file line text; do
   if echo "$file" | grep -Eq "$wallclock_allowlist"; then
     continue
   fi
-  case "$text" in
-    *'lint:allow-wallclock'*) continue ;;
-  esac
-  fail "$file:$line: wall-clock/entropy source in src/ — use VirtualClock or seeded lqs::Rng (or suppress with // lint:allow-wallclock)"
+  fail "$file:$line: wall-clock/entropy source in src/ — use VirtualClock or seeded lqs::Rng"
 done < <(grep -rnE "$wallclock_pattern" src --include='*.cc' --include='*.h')
 
 # ---- 5. clang-format (when installed) -------------------------------------

@@ -21,10 +21,6 @@ void ValidationReport::Add(std::string check, int node_id, int pipeline_id,
                                     std::move(detail)});
 }
 
-void ValidationReport::Merge(const ValidationReport& other) {
-  issues_.insert(issues_.end(), other.issues_.begin(), other.issues_.end());
-}
-
 std::string ValidationReport::ToString() const {
   std::string out;
   for (const ValidationIssue& issue : issues_) {

@@ -35,9 +35,6 @@ class ValidationReport {
       "failed, never on the steady-state estimation path")
   void Add(std::string check, int node_id, int pipeline_id,
            std::string detail);
-  /// Merges another report's issues into this one.
-  void Merge(const ValidationReport& other);
-
   /// All issues, one per line; empty string when ok().
   std::string ToString() const;
   /// OK when no issues, otherwise Internal with the joined issue lines.

@@ -693,8 +693,6 @@ void ProgressEstimator::EstimateInto(const ProfileSnapshot& snapshot,
                               options_.incremental ? &ws->node_frozen : nullptr,
                               &ws->bounds, &ws->lp_bounds, &bstats);
     ws->stats.bound_derivations += bstats.derivations;
-    ws->stats.lp_tightenings += bstats.lp_tightenings;
-    ws->stats.intersection_inversions += bstats.intersection_inversions;
     bounds_ptr = &ws->bounds;
   }
 

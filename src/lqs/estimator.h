@@ -153,13 +153,6 @@ class ProgressEstimator {
       uint64_t alpha_freezes = 0;
       /// Pipelines whose §4.6 weight was served from the frozen cache.
       uint64_t weight_cache_hits = 0;
-      /// Nodes where the LpBound engine tightened the Appendix A upper
-      /// bound (bounds_engine = kIntersect only).
-      uint64_t lp_tightenings = 0;
-      /// Inverted intersections resolved to the Appendix-A interval
-      /// (bounds_engine = kIntersect only; nonzero indicates an unsound
-      /// engine and is surfaced through MonitorStats).
-      uint64_t intersection_inversions = 0;
     };
     Stats stats;
 

@@ -1,24 +1,12 @@
 #include "monitor/monitor_service.h"
 
 #include <algorithm>
-#include <chrono>  // lint:allow-wallclock latency telemetry (LatencyClockNowMs)
 #include <string>
 #include <utility>
 
 namespace lqs {
 
 namespace {
-
-/// Monotonic timestamp in ms for latency telemetry. The one sanctioned
-/// wall-clock read on the ComputeStatus path: latencies feed stats() and
-/// never the session-ordered statuses, so the determinism contract on the
-/// output bytes is unaffected.
-double LatencyClockNowMs() {
-  // lqs-verify: det-ok(latency telemetry feeds stats(), never the statuses)
-  const auto now = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(now.time_since_epoch())
-      .count();
-}
 
 /// Ticks RunToCompletion keeps issuing past the nominal horizon while remote
 /// sessions still await their final snapshot over a lossy link. Once
@@ -113,12 +101,11 @@ bool MonitorService::AllSessionsDone() const {
 }
 
 void MonitorService::ComputeStatus(size_t index, double now_ms,
-                                   SessionStatus* out, double* latency_ms) {
+                                   SessionStatus* out) {
   Session& session = sessions_[index];
   out->session_id = static_cast<int>(index);
   out->local_time_ms = now_ms - session.start_offset_ms;
   out->remote = session.client != nullptr;
-  *latency_ms = -1;
   if (out->local_time_ms < 0) {
     out->state = SessionState::kWaiting;
     out->progress = 0;
@@ -157,43 +144,34 @@ void MonitorService::ComputeStatus(size_t index, double now_ms,
     out->progress = 0;
     return;
   }
-  const double start_ms = LatencyClockNowMs();
   session.checker->EstimateCheckedInto(*out->snapshot, &session.workspace,
                                        &out->report);
   out->progress = out->report.query_progress;
-  *latency_ms = LatencyClockNowMs() - start_ms;
 }
 
 std::vector<SessionStatus> MonitorService::Tick(double now_ms) {
-  // The tick is timed from entry until its counters are published, so the
-  // post-barrier pass over every session below counts as tick time.
-  const double tick_start_ms = LatencyClockNowMs();
   std::vector<SessionStatus> statuses(sessions_.size());
-  std::vector<double> latencies(sessions_.size(), -1);
   pool_.ParallelFor(sessions_.size(), [&](size_t i) {
-    ComputeStatus(i, now_ms, &statuses[i], &latencies[i]);
+    ComputeStatus(i, now_ms, &statuses[i]);
   });
-  // Per-session clients and workspaces are quiescent after the barrier (the
-  // same ownership rule that lets ComputeStatus mutate them without a lock),
-  // so one pass over the sessions, outside stats_mu_, re-counts their states
-  // and re-sums the transport and bounds-engine totals.
+  // Per-session clients are quiescent after the barrier (the same ownership
+  // rule that lets ComputeStatus mutate them without a lock), so one pass
+  // over the sessions, outside stats_mu_, re-counts their states and this
+  // tick's estimates and re-sums the transport totals.
   MonitorStats next;
   for (size_t i = 0; i < sessions_.size(); ++i) {
     switch (statuses[i].state) {
       case SessionState::kWaiting: ++next.waiting; break;
-      case SessionState::kRunning: ++next.active; break;
+      case SessionState::kRunning:
+        ++next.active;
+        // ComputeStatus estimated exactly when a running session had a
+        // snapshot.
+        if (statuses[i].snapshot != nullptr) ++next.reports_computed;
+        break;
       case SessionState::kDone: ++next.done; break;
     }
     if (statuses[i].degraded) ++next.degraded_sessions;
-    // Only non-default bounds engines ever make the workspace's bounds
-    // counters nonzero.
     const Session& s = sessions_[i];
-    if (s.estimator->options().bounds_engine != BoundsEngineKind::kAppendixA) {
-      ++next.lp_bounds_sessions;
-    }
-    next.bounds_lp_tightenings += s.workspace.stats.lp_tightenings;
-    next.bounds_intersection_inversions +=
-        s.workspace.stats.intersection_inversions;
     if (s.client == nullptr) continue;
     const ClientStats& cs = s.client->stats();
     next.transport_polls += cs.polls;
@@ -217,21 +195,7 @@ std::vector<SessionStatus> MonitorService::Tick(double now_ms) {
   next.estimators_cached = published_.estimators_cached;
   next.remote_sessions = published_.remote_sessions;
   next.ticks = published_.ticks + 1;
-  next.reports_computed = published_.reports_computed;
-  next.estimate_wall_ms = published_.estimate_wall_ms;
-  next.max_estimate_latency_ms = published_.max_estimate_latency_ms;
-  for (double latency : latencies) {
-    if (latency < 0) continue;
-    ++next.reports_computed;
-    estimate_latencies_ms_.Add(latency);
-    next.estimate_wall_ms += latency;
-    next.last_tick_estimate_ms += latency;
-    next.max_estimate_latency_ms =
-        std::max(next.max_estimate_latency_ms, latency);
-  }
-  const double tick_wall_ms = LatencyClockNowMs() - tick_start_ms;
-  next.wall_ms = published_.wall_ms + tick_wall_ms;
-  tick_latencies_ms_.Add(tick_wall_ms);
+  next.reports_computed += published_.reports_computed;
   published_ = next;
   return statuses;
 }
@@ -319,24 +283,6 @@ MonitorStats MonitorService::stats() const {
   MutexLock lock(&stats_mu_);
   MonitorStats stats = published_;
   stats.num_threads = pool_.num_threads();
-  if (stats.wall_ms > 0) {
-    stats.reports_per_sec =
-        static_cast<double>(stats.reports_computed) / (stats.wall_ms / 1000.0);
-  }
-  if (stats.estimate_wall_ms > 0) {
-    stats.estimates_per_sec = static_cast<double>(stats.reports_computed) /
-                              (stats.estimate_wall_ms / 1000.0);
-  }
-  auto percentiles = [](const LatencyReservoir& values, double* p50,
-                        double* p95) {
-    if (values.empty()) return;
-    *p50 = values.Quantile(0.50);
-    *p95 = values.Quantile(0.95);
-  };
-  percentiles(estimate_latencies_ms_, &stats.p50_estimate_latency_ms,
-              &stats.p95_estimate_latency_ms);
-  percentiles(tick_latencies_ms_, &stats.p50_tick_latency_ms,
-              &stats.p95_tick_latency_ms);
   return stats;
 }
 

@@ -18,7 +18,6 @@
 #include "dmv/query_profile.h"
 #include "exec/plan.h"
 #include "lqs/estimator.h"
-#include "monitor/latency_reservoir.h"
 #include "monitor/thread_pool.h"
 #include "remote/polling_client.h"
 #include "storage/catalog.h"
@@ -76,7 +75,11 @@ struct SessionStatus {
   int consecutive_failures = 0;
 };
 
-/// Aggregate counters across the life of one MonitorService.
+/// Aggregate counters across the life of one MonitorService. Apart from
+/// num_threads, every field is a pure function of the registered sessions
+/// and the tick times, and the counters of two partitions merge by
+/// addition. The service keeps no timings; perfbench times ticks and
+/// layers from outside.
 struct MonitorStats {
   size_t sessions = 0;
   /// Session states as of the most recent tick.
@@ -84,35 +87,13 @@ struct MonitorStats {
   size_t waiting = 0;
   size_t done = 0;
   uint64_t ticks = 0;
-  /// Progress reports computed (one per active session per tick).
+  /// Estimates computed: one per tick for each running session that has a
+  /// snapshot.
   uint64_t reports_computed = 0;
   /// Distinct (plan, catalog, options) estimators built — the cache keeps
   /// this below the session count when sessions share a plan.
   size_t estimators_cached = 0;
   int num_threads = 0;
-  /// Wall-clock percentiles of one EstimateInto (+ invariant checks) call.
-  double p50_estimate_latency_ms = 0;
-  double p95_estimate_latency_ms = 0;
-  /// Largest single estimate latency seen over the service's life.
-  double max_estimate_latency_ms = 0;
-  /// Total wall-clock time spent inside estimator calls (sum over all
-  /// sessions and ticks) and the resulting estimator-only throughput.
-  /// Contrast with reports_per_sec, which divides by whole-tick wall time
-  /// (fan-out, barrier and transport included).
-  double estimate_wall_ms = 0;
-  double estimates_per_sec = 0;
-  /// Sum of estimate latencies within the most recent tick — the per-tick
-  /// estimation cost a dashboard would graph.
-  double last_tick_estimate_ms = 0;
-  /// Wall-clock percentiles of one whole Tick(), from entry until its
-  /// counters are published (fan-out, barrier and post-barrier
-  /// aggregation).
-  double p50_tick_latency_ms = 0;
-  double p95_tick_latency_ms = 0;
-  /// Wall-clock time spent inside Tick() (timed as above) and the resulting
-  /// throughput.
-  double wall_ms = 0;
-  double reports_per_sec = 0;
 
   // --- Remote transport aggregates (sum over endpoint-backed sessions) ---
   size_t remote_sessions = 0;
@@ -140,17 +121,7 @@ struct MonitorStats {
   uint64_t delta_resyncs = 0;
   uint64_t request_id_mismatches = 0;
 
-  // --- Bounds-engine aggregates (sessions whose
-  //     EstimatorOptions::bounds_engine is not the Appendix-A default) ---
-  /// Sessions running a non-default bounding engine.
-  size_t lp_bounds_sessions = 0;
-  /// Nodes where the LpBound engine tightened the Appendix A upper bound,
-  /// summed over the sessions' workspace counters.
-  uint64_t bounds_lp_tightenings = 0;
-  /// Inverted engine intersections resolved to the Appendix-A interval;
-  /// nonzero means an engine produced an unsound interval somewhere — a
-  /// red flag worth alerting on, hence surfaced here.
-  uint64_t bounds_intersection_inversions = 0;
+  bool operator==(const MonitorStats&) const = default;
 };
 
 /// Owns many concurrently-monitored query sessions and replays their DMV
@@ -254,8 +225,8 @@ class MonitorService {
   /// final snapshot never arrived.
   ValidationReport FinalCheck();
 
-  /// Aggregate counters; percentiles/throughput are recomputed on call.
-  /// Safe to call from any thread concurrently with the driver's Tick().
+  /// Aggregate counters as of the last tick or registration. Safe to call
+  /// from any thread concurrently with the driver's Tick().
   MonitorStats stats() const LQS_EXCLUDES(stats_mu_);
 
  private:
@@ -311,12 +282,9 @@ class MonitorService {
   /// bounds the whole Tick at runtime).
   /// LQS_DETERMINISTIC: the session-ordered output (`*out`) depends only on
   /// the session's registered inputs and `now_ms`, never on threads or
-  /// wall-clock time; the one sanctioned exception is `*latency_ms`, pure
-  /// timing telemetry that feeds stats() and never the statuses (see the
-  /// det-ok on LatencyClockNow in monitor_service.cc).
+  /// wall-clock time.
   LQS_NOALLOC LQS_DETERMINISTIC void ComputeStatus(size_t index, double now_ms,
-                                                   SessionStatus* out,
-                                                   double* latency_ms);
+                                                   SessionStatus* out);
 
   const MonitorOptions options_;
   /// Internally synchronized (owns its own kThreadPool lock); fanned out to
@@ -341,15 +309,8 @@ class MonitorService {
   /// of driver-owned sizes and totals live here, not in sessions_ or the
   /// cache, so stats() never races a concurrent RegisterSession or Tick()
   /// (sessions_.push_back and map::emplace are not readable mid-mutation
-  /// from another thread). The thread count, rates and percentiles are
-  /// derived in stats().
+  /// from another thread). stats() fills in the thread count.
   MonitorStats published_ LQS_GUARDED_BY(stats_mu_);
-  /// Latency distributions behind the published p50/p95: fixed-capacity
-  /// reservoir samples, not grow-forever vectors — a service that ticks
-  /// indefinitely must hold its stats in O(1) memory (and Add() must not
-  /// allocate inside the tick's budget, see latency_reservoir.h).
-  LatencyReservoir estimate_latencies_ms_ LQS_GUARDED_BY(stats_mu_);
-  LatencyReservoir tick_latencies_ms_ LQS_GUARDED_BY(stats_mu_);
 };
 
 }  // namespace lqs

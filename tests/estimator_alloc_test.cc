@@ -304,11 +304,6 @@ TEST_F(EstimatorAllocTest, MonitorTickStaysWithinAllocationBudget) {
   }
   const double horizon = monitor.HorizonMs();
   constexpr int kWarmupTicks = 4;
-  // 80 measured ticks x 8 sessions = 640 estimate-latency samples — past
-  // the 512-slot LatencyReservoir capacity, so the measured window covers
-  // both the reservoir's fill phase and its steady-state replacement path
-  // (a grow-forever vector here would charge reallocation against the
-  // budget; the reservoir must not allocate at all after construction).
   constexpr int kMeasuredTicks = 80;
   const double step = horizon / (kWarmupTicks + kMeasuredTicks + 1);
   double now = 0;

@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -148,9 +149,10 @@ TEST_F(MonitorTest, NoSessionsTerminatesWithoutTicks) {
   EXPECT_TRUE(monitor.FinalCheck().ok());
 }
 
-// The determinism contract: the full per-session report stream must be
-// identical whatever the thread count. Render every status into one string
-// (progress at full double precision) and compare serial vs parallel.
+// The determinism contract: the full per-session report stream and the
+// published stats must be identical whatever the thread count. Render every
+// status into one string (progress at full double precision) and compare
+// serial vs parallel, then compare stats() with the thread count zeroed.
 TEST_F(MonitorTest, OutputIdenticalAcrossThreadCounts) {
   Plan join = Annotated(
       HashAgg(HashJoin(JoinKind::kInner, Scan("t_small"), Scan("t_big"), {0},
@@ -185,16 +187,23 @@ TEST_F(MonitorTest, OutputIdenticalAcrossThreadCounts) {
           }
         });
     EXPECT_TRUE(monitor.FinalCheck().ok());
-    return rendered;
+    MonitorStats stats = monitor.stats();
+    EXPECT_EQ(stats.num_threads, threads);
+    stats.num_threads = 0;
+    return std::make_pair(rendered, stats);
   };
 
-  const std::string serial = run(1);
-  EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(serial, run(2));
-  EXPECT_EQ(serial, run(5));
+  const auto serial = run(1);
+  EXPECT_FALSE(serial.first.empty());
+  EXPECT_GT(serial.second.reports_computed, 0u);
+  for (int threads : {2, 5}) {
+    const auto parallel = run(threads);
+    EXPECT_EQ(serial.first, parallel.first) << threads << " threads";
+    EXPECT_EQ(serial.second, parallel.second) << threads << " threads";
+  }
 }
 
-TEST_F(MonitorTest, StatsLatenciesAndThroughputArePopulated) {
+TEST_F(MonitorTest, StatsCountTicksAndReports) {
   Plan plan = Annotated(Sort(Scan("t_big"), {2}));
   ExecutionResult result = Run(plan);
   MonitorService monitor;
@@ -206,11 +215,6 @@ TEST_F(MonitorTest, StatsLatenciesAndThroughputArePopulated) {
   MonitorStats stats = monitor.stats();
   EXPECT_EQ(stats.ticks, 12u);  // default ticks_per_horizon
   EXPECT_GT(stats.reports_computed, 0u);
-  EXPECT_GT(stats.wall_ms, 0.0);
-  EXPECT_GT(stats.reports_per_sec, 0.0);
-  EXPECT_GE(stats.p95_estimate_latency_ms, stats.p50_estimate_latency_ms);
-  EXPECT_GE(stats.p95_tick_latency_ms, stats.p50_tick_latency_ms);
-  EXPECT_GE(stats.p50_estimate_latency_ms, 0.0);
   EXPECT_GT(stats.num_threads, 0);
 }
 

@@ -14,6 +14,9 @@
 //    (drop=10%, delay up to 3 polling intervals, dup=5%, seeded) all
 //    complete, each session's rendered snapshot timestamps are monotone,
 //    and every final progress lands within 5 points of the fault-free run;
+//  - a 64-session delta fleet under perfbench fleet_churn's fault mix shows
+//    the same statuses and stats on one and four threads, and its status
+//    digest and transport counters are pinned;
 //  - local, full and delta sessions of every TPC-H and TPC-DS query show
 //    the same state, progress and snapshot bytes on every tick;
 //  - full and delta sessions on one monitor sum exactly into its transport
@@ -30,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -620,6 +624,34 @@ TEST(FaultInjectionTest, SingleSessionStaysMonotoneAndCompletes) {
   EXPECT_GT(client.stats().transport_failures, 0u);
 }
 
+// The four test-catalog queries the lossy fleets below cycle through — a
+// hash join, a hash aggregate, a sort and a filter — each executed once
+// with `interval_ms` snapshots.
+struct LossyFleetQueries {
+  std::unique_ptr<Catalog> catalog = MakeTestCatalog();
+  std::vector<Plan> plans;
+  std::vector<ExecutionResult> traces;
+};
+
+void BuildLossyFleetQueries(double interval_ms, LossyFleetQueries* out) {
+  const Catalog& catalog = *out->catalog;
+  out->plans.push_back(MustFinalize(
+      HashJoin(JoinKind::kInner, Scan("t_small"), Scan("t_big"), {0}, {1}),
+      catalog));
+  out->plans.push_back(
+      MustFinalize(HashAgg(Scan("t_big"), {2}, {Count()}), catalog));
+  out->plans.push_back(MustFinalize(Sort(Scan("t_big"), {2}), catalog));
+  out->plans.push_back(MustFinalize(
+      Filter(Scan("t_big"), ColCmp(2, CompareOp::kLt, 50)), catalog));
+  for (Plan& plan : out->plans) {
+    ASSERT_OK(AnnotatePlan(&plan, catalog, OptimizerOptions{}));
+    ExecOptions exec;
+    exec.snapshot_interval_ms = interval_ms;
+    out->traces.push_back(MustExecute(plan, out->catalog.get(), exec));
+    ASSERT_GT(out->traces.back().trace.snapshots.size(), 2u);
+  }
+}
+
 // The ISSUE acceptance run. 64 sessions over lossy links (drop=10%, delay up
 // to 3 polling intervals, dup=5%, per-session seeds) against the identical
 // fault-free setup:
@@ -627,26 +659,9 @@ TEST(FaultInjectionTest, SingleSessionStaysMonotoneAndCompletes) {
 //  - each session's rendered snapshot timestamps are monotone;
 //  - every session's final progress is within 5 points of fault-free.
 TEST(RemoteMonitorTest, SixtyFourLossySessionsCompleteCloseToFaultFree) {
-  std::unique_ptr<Catalog> catalog = MakeTestCatalog();
   constexpr double kIntervalMs = 5.0;
-
-  std::vector<Plan> plans;
-  plans.push_back(MustFinalize(
-      HashJoin(JoinKind::kInner, Scan("t_small"), Scan("t_big"), {0}, {1}),
-      *catalog));
-  plans.push_back(MustFinalize(
-      HashAgg(Scan("t_big"), {2}, {Count()}), *catalog));
-  plans.push_back(MustFinalize(Sort(Scan("t_big"), {2}), *catalog));
-  plans.push_back(MustFinalize(
-      Filter(Scan("t_big"), ColCmp(2, CompareOp::kLt, 50)), *catalog));
-  std::vector<ExecutionResult> traces;
-  for (Plan& plan : plans) {
-    ASSERT_OK(AnnotatePlan(&plan, *catalog, OptimizerOptions{}));
-    ExecOptions exec;
-    exec.snapshot_interval_ms = kIntervalMs;
-    traces.push_back(MustExecute(plan, catalog.get(), exec));
-    ASSERT_GT(traces.back().trace.snapshots.size(), 2u);
-  }
+  LossyFleetQueries queries;
+  ASSERT_NO_FATAL_FAILURE(BuildLossyFleetQueries(kIntervalMs, &queries));
 
   constexpr int kSessions = 64;
   PollingClientOptions client_options;
@@ -664,14 +679,14 @@ TEST(RemoteMonitorTest, SixtyFourLossySessionsCompleteCloseToFaultFree) {
     monitor_options.ticks_per_horizon = 24;
     MonitorService monitor(monitor_options);
     for (int i = 0; i < kSessions; ++i) {
-      const ExecutionResult& result = traces[i % traces.size()];
+      const size_t q = static_cast<size_t>(i) % queries.plans.size();
       PollingClientOptions per_session = client_options;
       per_session.jitter_seed = 1000 + static_cast<uint64_t>(i);
       std::string name = "q";
       name += std::to_string(i);
       monitor.RegisterRemoteSession(
-          std::move(name), &plans[i % plans.size()], catalog.get(),
-          make_endpoint(&result.trace, i),
+          std::move(name), &queries.plans[q], queries.catalog.get(),
+          make_endpoint(&queries.traces[q].trace, i),
           /*start_offset_ms=*/(i % 8) * 2 * kIntervalMs, per_session);
     }
 
@@ -733,6 +748,108 @@ TEST(RemoteMonitorTest, SixtyFourLossySessionsCompleteCloseToFaultFree) {
   EXPECT_EQ(lossy.second.degraded_sessions, 0u);
   EXPECT_EQ(fault_free.second.transport_failures, 0u);
   EXPECT_EQ(fault_free.second.decode_errors, 0u);
+}
+
+// The fault path, pinned. 64 delta loopback sessions cycle through the four
+// test-catalog queries (5 ms snapshots and ticks, arrivals staggered over 16
+// tick slots), each behind perfbench fleet_churn's fault mix — drop 10%,
+// delay 10% by up to three intervals, duplicate 5%, corrupt 1% — with its
+// own fault and jitter seeds and otherwise default client options. The
+// fleet runs on one thread and on four: both show the same statuses on
+// every tick (state, progress bits, transport condition and, while running,
+// operator progress) and publish the same stats. The status digest and the
+// summed transport counters are pinned, so a change that reorders a retry,
+// a jitter draw or a counter update under faults fails here.
+TEST(RemoteMonitorTest, LossyDeltaFleetIsPinnedAcrossThreads) {
+  constexpr double kIntervalMs = 5.0;
+  constexpr int kSessions = 64;
+  constexpr uint64_t kPinnedDigest = 0x7a20f33efa0ed867ull;
+  LossyFleetQueries queries;
+  ASSERT_NO_FATAL_FAILURE(BuildLossyFleetQueries(kIntervalMs, &queries));
+
+  struct FleetRun {
+    uint64_t digest = 0;
+    MonitorStats stats;
+  };
+  auto run = [&](int threads) {
+    SCOPED_TRACE(StringF("%d thread(s)", threads));
+    MonitorOptions options;
+    options.num_threads = threads;
+    options.tick_ms = kIntervalMs;
+    MonitorService monitor(options);
+    LoopbackOptions loopback;
+    loopback.serve_deltas = true;
+    for (int i = 0; i < kSessions; ++i) {
+      const size_t q = static_cast<size_t>(i) % queries.plans.size();
+      FaultConfig faults;
+      faults.drop_probability = 0.10;
+      faults.delay_probability = 0.10;
+      faults.max_delay_ms = 3 * kIntervalMs;
+      faults.duplicate_probability = 0.05;
+      faults.corrupt_probability = 0.01;
+      faults.seed = 100 + static_cast<uint64_t>(i);
+      PollingClientOptions client_options;
+      client_options.jitter_seed = 1000 + static_cast<uint64_t>(i);
+      monitor.RegisterRemoteSession(
+          "q" + std::to_string(i), &queries.plans[q], queries.catalog.get(),
+          std::make_unique<FaultInjectingEndpoint>(
+              std::make_unique<LoopbackEndpoint>(&queries.traces[q].trace,
+                                                 loopback),
+              faults),
+          /*start_offset_ms=*/(i % 16) * kIntervalMs, client_options);
+    }
+    BitHash hash;
+    monitor.RunToCompletion(
+        [&hash](double, const std::vector<SessionStatus>& statuses) {
+          for (const SessionStatus& s : statuses) {
+            hash.AddWord(static_cast<uint64_t>(s.state));
+            hash.AddDouble(s.progress);
+            hash.AddWord(s.stale);
+            hash.AddDouble(s.staleness_ms);
+            hash.AddWord(s.degraded);
+            hash.AddWord(static_cast<uint64_t>(s.consecutive_failures));
+            if (s.state == SessionState::kRunning) {
+              hash.AddVector(s.report.operator_progress);
+            }
+          }
+        });
+    FleetRun result{hash.value(), monitor.stats()};
+    result.stats.num_threads = 0;
+    return result;
+  };
+
+  const FleetRun serial = run(1);
+  const FleetRun parallel = run(4);
+  EXPECT_EQ(serial.digest, parallel.digest);
+  EXPECT_EQ(serial.stats, parallel.stats);
+  EXPECT_EQ(serial.digest, kPinnedDigest)
+      << StringF("statuses moved; the digest is now 0x%016llx",
+                 static_cast<unsigned long long>(serial.digest));
+  const MonitorStats& s = serial.stats;
+  const std::pair<const char*, uint64_t> counters[] = {
+      {"polls", s.transport_polls},
+      {"retries", s.transport_retries},
+      {"failures", s.transport_failures},
+      {"decode_errors", s.decode_errors},
+      {"accepted", s.snapshots_accepted},
+      {"duplicates", s.duplicates_ignored},
+      {"regressions", s.regressions_rejected},
+      {"stale", s.stale_reports},
+      {"bytes", s.transport_bytes},
+      {"deltas", s.deltas_applied},
+      {"resyncs", s.delta_resyncs},
+      {"mismatches", s.request_id_mismatches},
+  };
+  std::string rendered;
+  for (const auto& [name, value] : counters) {
+    rendered +=
+        StringF(" %s=%llu", name, static_cast<unsigned long long>(value));
+  }
+  EXPECT_EQ(rendered,
+            " polls=650 retries=616 failures=116 decode_errors=13"
+            " accepted=444 duplicates=314 regressions=307 stale=152"
+            " bytes=86400 deltas=894 resyncs=18 mismatches=49")
+      << "transport counters moved";
 }
 
 // Names the first thing `remote` shows differently from `local` on one

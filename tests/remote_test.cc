@@ -7,7 +7,9 @@
 //    (recoverably) after a consecutive-failure budget, and holds the last
 //    accepted snapshot, exactly as sent, on stale ticks;
 //  - snapshot deltas reassemble byte-exactly against the acked base, with
-//    keyframe resync on any gap, and save most of the wire bytes;
+//    keyframe resync on any gap, pass the same duplicate/regression gate
+//    without touching the held snapshot when rejected, and save most of the
+//    wire bytes;
 //  - FaultInjectingEndpoint's drops/delays/duplicates/corruption never
 //    wedge a session or break monotonicity;
 //  - the ISSUE acceptance run: 64 monitored sessions over a lossy link
@@ -97,6 +99,24 @@ ScriptedEndpoint::Step Respond(ProfileSnapshot snap, bool complete = false) {
     response.has_snapshot = true;
     response.query_complete = complete;
     response.snapshot = snap;
+    PollResult result;
+    EncodePollResponse(response, &result.frame);
+    result.arrival_ms = request.now_ms;
+    return result;
+  };
+}
+
+// Answers with the delta arm that turns `base` into `target`.
+ScriptedEndpoint::Step RespondDelta(const ProfileSnapshot& base,
+                                    const ProfileSnapshot& target) {
+  StatusOr<SnapshotDelta> made = MakeSnapshotDelta(base, target);
+  EXPECT_TRUE(made.ok()) << made.status().ToString();
+  SnapshotDelta delta = std::move(made).value();
+  return [delta](const PollRequest& request) {
+    PollResponse response;
+    response.request_id = request.request_id;
+    response.has_delta = true;
+    response.delta = delta;
     PollResult result;
     EncodePollResponse(response, &result.frame);
     result.arrival_ms = request.now_ms;
@@ -328,6 +348,94 @@ TEST(PollingClientTest, RejectsRegressionsAndIgnoresDuplicates) {
   EXPECT_EQ(client.stats().accepted, 3u);
   EXPECT_EQ(client.stats().duplicates_ignored, 1u);
   EXPECT_EQ(client.stats().regressions_rejected, 2 + regressions.size());
+}
+
+// The same gate on the delta arm. The regression advances operator 0 before
+// operator 1 runs backwards, so a client that applied operators while still
+// checking them would leave operator 0 moved in the held snapshot.
+TEST(PollingClientTest, DeltaArmRejectsRegressionsAndResyncs) {
+  ProfileSnapshot held;
+  held.time_ms = 20;
+  held.operators.resize(2);
+  held.operators[0].node_id = 0;
+  held.operators[0].parent_node_id = -1;
+  held.operators[1].node_id = 1;
+  held.operators[1].parent_node_id = 0;
+  for (OperatorProfile& op : held.operators) {
+    op.row_count = 200;
+    op.cpu_time_ms = 10;
+    op.io_time_ms = 5;
+    op.last_active_ms = 20;
+    op.opened = true;
+  }
+  ProfileSnapshot regressed = held;
+  regressed.time_ms = 30;
+  regressed.operators[0].row_count = 300;
+  regressed.operators[0].last_active_ms = 30;
+  regressed.operators[1].io_time_ms = 4;
+  ProfileSnapshot same_time = held;
+  same_time.operators[0].row_count = 250;
+  ProfileSnapshot advanced = held;
+  advanced.time_ms = 40;
+  advanced.operators[0].row_count = 400;
+  advanced.operators[0].cpu_time_ms = 12.5;
+  advanced.operators[1].io_time_ms = 6;
+  advanced.operators[1].finished = true;
+  ProfileSnapshot later = advanced;
+  later.time_ms = 50;
+  later.operators[0].row_count = 500;
+
+  auto scripted = std::make_unique<ScriptedEndpoint>();
+  ScriptedEndpoint* endpoint = scripted.get();
+  endpoint->script.push_back(Respond(held));
+  endpoint->script.push_back(RespondDelta(held, regressed));
+  endpoint->script.push_back(RespondDelta(held, same_time));
+  endpoint->script.push_back(RespondDelta(held, advanced));
+  // The client now holds `advanced`; a delta against `held` has no base.
+  endpoint->script.push_back(RespondDelta(held, later));
+  endpoint->script.push_back(Respond(later));
+
+  PollingClientOptions options;
+  options.max_attempts = 1;
+  PollingClient client(std::move(scripted), options);
+  const std::string held_bytes = SnapshotBytes(held);
+
+  ASSERT_NE(client.Poll(21).snapshot, nullptr);
+  EXPECT_EQ(SnapshotBytes(*client.view().snapshot), held_bytes);
+
+  const ClientView& rejected = client.Poll(31);
+  EXPECT_TRUE(rejected.stale);
+  EXPECT_EQ(client.stats().regressions_rejected, 1u);
+  EXPECT_EQ(SnapshotBytes(*rejected.snapshot), held_bytes)
+      << "a rejected delta changed the held snapshot";
+
+  const ClientView& duplicate = client.Poll(32);
+  EXPECT_TRUE(duplicate.stale);
+  EXPECT_EQ(client.stats().duplicates_ignored, 1u);
+  EXPECT_EQ(SnapshotBytes(*duplicate.snapshot), held_bytes);
+
+  const ClientView& fresh = client.Poll(41);
+  EXPECT_FALSE(fresh.stale);
+  EXPECT_EQ(client.stats().accepted, 2u);
+  EXPECT_EQ(SnapshotBytes(*fresh.snapshot), SnapshotBytes(advanced));
+
+  const ClientView& resync = client.Poll(51);
+  EXPECT_TRUE(resync.stale);
+  EXPECT_EQ(client.stats().delta_resyncs, 1u);
+  EXPECT_EQ(SnapshotBytes(*resync.snapshot), SnapshotBytes(advanced));
+  ASSERT_EQ(endpoint->requests.size(), 5u);
+  EXPECT_FALSE(endpoint->requests[4].want_keyframe);
+
+  const ClientView& keyframe = client.Poll(52);
+  ASSERT_EQ(endpoint->requests.size(), 6u);
+  EXPECT_TRUE(endpoint->requests[5].want_keyframe);
+  EXPECT_FALSE(keyframe.stale);
+  EXPECT_EQ(SnapshotBytes(*keyframe.snapshot), SnapshotBytes(later));
+
+  EXPECT_EQ(client.stats().accepted, 3u);
+  EXPECT_EQ(client.stats().regressions_rejected, 1u);
+  EXPECT_EQ(client.stats().duplicates_ignored, 1u);
+  EXPECT_EQ(client.stats().decode_errors, 0u);
 }
 
 TEST(PollingClientTest, RetryChasesFreshDataBehindStaleDelivery) {

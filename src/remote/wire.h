@@ -51,6 +51,8 @@ enum class WireType : uint8_t {
 };
 
 /// CRC32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) of `size` bytes.
+/// Slice-by-8 over compile-time tables: eight bytes per step, any
+/// alignment, the same values as the bytewise definition.
 uint32_t WireCrc32(const void* data, size_t size);
 
 /// Per-field presence bits of one OperatorDelta. A set bit means the frame
@@ -108,17 +110,31 @@ struct SnapshotDelta {
 /// kInvalidArgument when the pair is not delta-encodable: operator count,
 /// node ids, parent ids or operator types differ (plans never change shape
 /// mid-query, so a mismatch means the two snapshots are not from the same
-/// execution — send a keyframe instead).
+/// execution — send a keyframe instead). EncodeDeltaResponse writes the
+/// same delta without building it; this is its test oracle.
 LQS_DETERMINISTIC
 StatusOr<SnapshotDelta> MakeSnapshotDelta(const ProfileSnapshot& base,
                                           const ProfileSnapshot& target);
 
-/// Reconstructs the target snapshot from `base` + `delta`. Fails with
-/// kNotFound when `base` is not the snapshot the delta was computed against
-/// (bit-exact time_ms mismatch — the caller's resync/keyframe path), and
-/// kInvalidArgument on structural mismatch (operator count, out-of-range
-/// index). On success `*out` equals the original target bit for bit: a
-/// PollResponse carrying it as a full snapshot encodes to the same bytes.
+/// Checks that `delta` applies to `base` without writing anything. Fails
+/// with kNotFound when `base` is not the snapshot the delta was computed
+/// against (bit-exact time_ms mismatch — the caller's resync/keyframe
+/// path), and kInvalidArgument on structural mismatch (operator count, an
+/// index out of order or range, undefined field or flag bits), checked in
+/// that order, operator by operator.
+LQS_DETERMINISTIC
+Status CheckSnapshotDelta(const SnapshotDelta& delta,
+                          const ProfileSnapshot& base);
+
+/// Applies one operator's changes to `op`, which must be the base operator
+/// at `delta.index` of a snapshot CheckSnapshotDelta accepted.
+LQS_DETERMINISTIC
+void ApplyOperatorDelta(const OperatorDelta& delta, OperatorProfile* op);
+
+/// Reconstructs the target snapshot from `base` + `delta`: the statuses of
+/// CheckSnapshotDelta, `*out` untouched on failure. On success `*out` equals
+/// the original target bit for bit: a PollResponse carrying it as a full
+/// snapshot encodes to the same bytes.
 LQS_DETERMINISTIC
 Status ApplySnapshotDelta(const SnapshotDelta& delta,
                           const ProfileSnapshot& base, ProfileSnapshot* out);
@@ -145,6 +161,21 @@ struct PollResponse {
 /// graph.
 LQS_DETERMINISTIC
 void EncodePollResponse(const PollResponse& response, std::string* out);
+
+/// Appends the frame EncodePollResponse writes for a full-arm response
+/// carrying `*snapshot`, or for "nothing yet" when `snapshot` is null,
+/// without copying the snapshot into a PollResponse.
+LQS_DETERMINISTIC
+void EncodeSnapshotResponse(uint64_t request_id,
+                            const ProfileSnapshot* snapshot,
+                            bool query_complete, std::string* out);
+
+/// Appends the frame EncodePollResponse writes for the delta arm carrying
+/// MakeSnapshotDelta(base, target), without building the delta. On the
+/// statuses MakeSnapshotDelta fails with it appends nothing.
+LQS_DETERMINISTIC
+Status EncodeDeltaResponse(uint64_t request_id, const ProfileSnapshot& base,
+                           const ProfileSnapshot& target, std::string* out);
 
 /// Requires `frame` to be exactly one well-formed PollResponse frame:
 /// header checks, CRC check, full payload consumption. LQS_DETERMINISTIC

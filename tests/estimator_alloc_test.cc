@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -30,6 +31,8 @@
 #include "lqs/estimator.h"
 #include "monitor/monitor_service.h"
 #include "optimizer/annotate.h"
+#include "remote/endpoint.h"
+#include "remote/polling_client.h"
 #include "tests/test_util.h"
 #include "workload/plan_builder.h"
 
@@ -325,6 +328,44 @@ TEST_F(EstimatorAllocTest, MonitorTickStaysWithinAllocationBudget) {
             per_tick_budget * static_cast<uint64_t>(kMeasuredTicks))
       << "steady-state monitor ticks allocated "
       << window.count() / kMeasuredTicks << " times per tick";
+}
+
+TEST_F(EstimatorAllocTest, DeltaTransportAllocatesTwicePerAttempt) {
+  // The remote arm of a monitor session: one client over a delta loopback
+  // endpoint. Per attempt the endpoint's response frame and the decoded
+  // body's operator vector allocate (PollingClient::Poll's LQS_ALLOC_OK
+  // reason); the delta's diff, its reassembly and the accept gate do not.
+  Plan plan = Annotated(
+      HashAgg(HashJoin(JoinKind::kInner, Scan("t_small"), Scan("t_big"), {0},
+                       {1}),
+              {2}, {Count()}));
+  ExecOptions exec;
+  exec.snapshot_interval_ms = 2.0;
+  auto result = MustExecute(plan, catalog_.get(), exec);
+  ASSERT_GT(result.trace.snapshots.size(), 8u);
+
+  LoopbackOptions loopback;
+  loopback.serve_deltas = true;
+  PollingClient client(
+      std::make_unique<LoopbackEndpoint>(&result.trace, loopback));
+  const double horizon = client.KnownHorizonMs();
+  constexpr double kStepMs = 2.0;
+  double now = 0;
+  for (int i = 0; i < 4; ++i, now += kStepMs) (void)client.Poll(now);
+  ASSERT_NE(client.view().snapshot, nullptr);
+
+  const uint64_t attempts_before = client.stats().attempts;
+  const uint64_t deltas_before = client.stats().deltas_applied;
+  uint64_t allocations = 0;
+  {
+    AllocationWindow window;
+    for (; now <= horizon; now += kStepMs) (void)client.Poll(now);
+    allocations = window.count();
+  }
+  const uint64_t attempts = client.stats().attempts - attempts_before;
+  EXPECT_GT(client.stats().deltas_applied, deltas_before);
+  EXPECT_LE(allocations, 2 * attempts + 4)
+      << allocations << " allocations over " << attempts << " attempts";
 }
 
 TEST_F(EstimatorAllocTest, FreshEstimateAllocatesAsExpected) {

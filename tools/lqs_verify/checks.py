@@ -806,6 +806,12 @@ REQUIRED_DETERMINISTIC: Tuple[str, ...] = (
     "DecodePollResponse",
     "MakeSnapshotDelta",
     "ApplySnapshotDelta",
+    # The single-pass transport: the loopback writes frames with the fused
+    # encoders, and the client checks a delta, then applies it in place.
+    "EncodeSnapshotResponse",
+    "EncodeDeltaResponse",
+    "CheckSnapshotDelta",
+    "ApplyOperatorDelta",
     "MonitorService::ComputeStatus",
     # The bounds-engine pipeline (PR 10): bound intervals feed the clamp,
     # so replay-order-independent reports require deterministic engines.

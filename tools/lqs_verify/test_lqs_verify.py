@@ -465,6 +465,22 @@ class DeterminismRequiredRootsTest(unittest.TestCase):
                          [f.render() for f in findings])
         self.assertIn("'DecodePollResponse'", findings[0].message)
 
+    def test_reverting_a_fused_codec_marker_is_a_finding(self):
+        for before, name in (
+                ("LQS_DETERMINISTIC\nStatus EncodeDeltaResponse",
+                 "EncodeDeltaResponse"),
+                ("LQS_DETERMINISTIC\nvoid EncodeSnapshotResponse",
+                 "EncodeSnapshotResponse"),
+                ("LQS_DETERMINISTIC\nStatus CheckSnapshotDelta",
+                 "CheckSnapshotDelta"),
+                ("LQS_DETERMINISTIC\nvoid ApplyOperatorDelta",
+                 "ApplyOperatorDelta")):
+            findings = self.findings_with(self.strip_marker(
+                "wire.h", before, before[len("LQS_DETERMINISTIC\n"):]))
+            self.assertEqual(len(findings), 1,
+                             [f.render() for f in findings])
+            self.assertIn(f"'{name}'", findings[0].message)
+
     def test_reverting_the_monitor_marker_is_a_finding(self):
         findings = self.findings_with(self.strip_marker(
             "monitor_service.h",

@@ -95,9 +95,9 @@ int main() {
     if (s.state != SessionState::kRunning || s.snapshot == nullptr) return;
     const auto& outer_prof = s.snapshot->operators[outer_scan];
     std::printf("%10.0f %7.1f%% %14llu %14.0f %12.0f\n", t,
-                100 * s.report.operator_progress[nlj],
+                100 * s.report->operator_progress[nlj],
                 static_cast<unsigned long long>(outer_prof.row_count),
-                est_outer, s.report.refined_rows[outer_scan]);
+                est_outer, s.report->refined_rows[outer_scan]);
     if (!alerted &&
         static_cast<double>(outer_prof.row_count) > 1.5 * est_outer) {
       alerted = true;

@@ -72,7 +72,7 @@ void RenderFrame(const Plan& plan, const SessionStatus& status) {
     std::printf("  (complete — final counters received)\n");
     return;
   }
-  Renderer{*status.snapshot, status.report}.Print(*plan.root, 0);
+  Renderer{*status.snapshot, *status.report}.Print(*plan.root, 0);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "monitor/monitor_service.h"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 #include <string>
 #include <utility>
 
@@ -64,14 +66,11 @@ int MonitorService::AddSession(std::string name, const Plan* plan,
                                const EstimatorOptions& estimator_options) {
   Session session;
   session.name = std::move(name);
-  session.plan = plan;
-  session.catalog = catalog;
   session.trace = trace;
-  session.start_offset_ms = start_offset_ms;
-  session.estimator = CachedEstimator(plan, catalog, estimator_options);
-  session.checker =
-      std::make_unique<ProgressInvariantChecker>(session.estimator);
+  session.checker = std::make_unique<ProgressInvariantChecker>(
+      CachedEstimator(plan, catalog, estimator_options));
   session.client = std::move(client);
+  slots_.push_back({start_offset_ms, session.client != nullptr, nullptr});
   sessions_.push_back(std::move(session));
   {
     MutexLock lock(&stats_mu_);
@@ -84,34 +83,46 @@ int MonitorService::AddSession(std::string name, const Plan* plan,
 
 double MonitorService::HorizonMs() const {
   double horizon = 0;
-  for (const Session& s : sessions_) {
+  for (size_t i = 0; i < sessions_.size(); ++i) {
+    const Session& s = sessions_[i];
     const double elapsed = s.trace != nullptr
                                ? s.trace->total_elapsed_ms
                                : std::max(0.0, s.client->KnownHorizonMs());
-    horizon = std::max(horizon, s.start_offset_ms + elapsed);
+    horizon = std::max(horizon, slots_[i].start_offset_ms + elapsed);
   }
   return horizon;
 }
 
 bool MonitorService::AllSessionsDone() const {
-  for (const Session& s : sessions_) {
-    if (s.last_state != SessionState::kDone) return false;
+  for (const Slot& slot : slots_) {
+    if (slot.final_snapshot == nullptr) return false;
   }
   return true;
 }
 
 void MonitorService::ComputeStatus(size_t index, double now_ms,
                                    SessionStatus* out) {
-  Session& session = sessions_[index];
+  const Slot& slot = slots_[index];
+  *out = SessionStatus{};
   out->session_id = static_cast<int>(index);
-  out->local_time_ms = now_ms - session.start_offset_ms;
-  out->remote = session.client != nullptr;
-  if (out->local_time_ms < 0) {
-    out->state = SessionState::kWaiting;
-    out->progress = 0;
-    session.last_state = out->state;
+  out->local_time_ms = now_ms - slot.start_offset_ms;
+  out->remote = slot.remote;
+  if (out->local_time_ms < 0) return;  // kWaiting, progress 0
+  if (slot.final_snapshot != nullptr) {
+    // Done on an earlier tick. A complete client serves its final snapshot
+    // without counting anything, healthy and not stale (for any
+    // degrade_after_failures >= 1), so neither the session nor its client
+    // needs a visit.
+    out->state = SessionState::kDone;
+    out->snapshot = slot.final_snapshot;
+    out->progress = 1.0;
+    if (slot.remote) {
+      out->staleness_ms =
+          std::max(0.0, out->local_time_ms - slot.final_snapshot->time_ms);
+    }
     return;
   }
+  Session& session = sessions_[index];
   // The snapshot source: a local session reads its trace at its own clock;
   // a remote one polls its client, and done means the final snapshot
   // crossed the link (its counters are final).
@@ -131,7 +142,6 @@ void MonitorService::ComputeStatus(size_t index, double now_ms,
              : session.trace->SnapshotAtOrBefore(out->local_time_ms);
   }
   out->state = done ? SessionState::kDone : SessionState::kRunning;
-  session.last_state = out->state;
   if (done) {
     out->progress = 1.0;
     return;
@@ -141,62 +151,102 @@ void MonitorService::ComputeStatus(size_t index, double now_ms,
     // had no sample this early, or a hand-built trace has none (executor
     // traces always do). Progress holds at zero; the session is alive, not
     // wedged.
-    out->progress = 0;
     return;
   }
-  session.checker->EstimateCheckedInto(*out->snapshot, &session.workspace,
-                                       &out->report);
-  out->progress = out->report.query_progress;
+  // A repeat of the snapshot estimated last — same address, same time_ms
+  // bits — serves the held report. Trace snapshots never change, and a
+  // client's held snapshot changes only on an accept, which is always
+  // strictly newer; so the held report is exactly what estimating again
+  // would give, and it was checked when it was made.
+  const uint64_t time_bits = std::bit_cast<uint64_t>(out->snapshot->time_ms);
+  if (out->snapshot != session.estimated ||
+      time_bits != session.estimated_time_bits) {
+    if (session.report == nullptr) {
+      // LQS_ALLOC_OK("once per session, on its first estimate")
+      session.report = std::make_unique<ProgressReport>();
+    }
+    session.checker->EstimateCheckedInto(*out->snapshot, &session.workspace,
+                                         session.report.get());
+    session.estimated = out->snapshot;
+    session.estimated_time_bits = time_bits;
+    ++session.estimates;
+  }
+  out->report = session.report.get();
+  out->progress = session.report->query_progress;
 }
 
-std::vector<SessionStatus> MonitorService::Tick(double now_ms) {
-  std::vector<SessionStatus> statuses(sessions_.size());
-  pool_.ParallelFor(sessions_.size(), [&](size_t i) {
-    ComputeStatus(i, now_ms, &statuses[i]);
-  });
+void MonitorService::AddLifetimeTotals(const Session& session,
+                                       MonitorStats* into) {
+  into->reports_computed += session.estimates;
+  if (session.client == nullptr) return;
+  const ClientStats& cs = session.client->stats();
+  into->transport_polls += cs.polls;
+  into->transport_retries += cs.retries;
+  into->transport_failures += cs.transport_failures;
+  into->decode_errors += cs.decode_errors;
+  into->snapshots_accepted += cs.accepted;
+  into->duplicates_ignored += cs.duplicates_ignored;
+  into->regressions_rejected += cs.regressions_rejected;
+  into->stale_reports += cs.stale_polls;
+  into->transport_bytes += cs.bytes_received;
+  into->deltas_applied += cs.deltas_applied;
+  into->delta_resyncs += cs.delta_resyncs;
+  into->request_id_mismatches += cs.request_id_mismatches;
+}
+
+void MonitorService::TickInto(double now_ms,
+                              std::vector<SessionStatus>* statuses) {
+  statuses->resize(sessions_.size());
+  SessionStatus* const out = statuses->data();
+  // std::function stores a reference_wrapper in place, so the fan-out
+  // allocates nothing whatever the body captures.
+  const auto compute = [this, now_ms, out](size_t i) {
+    ComputeStatus(i, now_ms, &out[i]);
+  };
+  pool_.ParallelFor(sessions_.size(), std::ref(compute));
   // Per-session clients are quiescent after the barrier (the same ownership
   // rule that lets ComputeStatus mutate them without a lock), so one pass
-  // over the sessions, outside stats_mu_, re-counts their states and this
-  // tick's estimates and re-sums the transport totals.
-  MonitorStats next;
+  // in index order, outside stats_mu_, counts the states from the statuses
+  // and adds the lifetime totals of the running sessions to those of the
+  // retired ones. A session that turned done this tick retires here, once:
+  // its final snapshot goes into its slot, its totals into retired_, and
+  // its report is released.
+  MonitorStats next = retired_;
   for (size_t i = 0; i < sessions_.size(); ++i) {
-    switch (statuses[i].state) {
+    const SessionStatus& status = out[i];
+    if (status.degraded) ++next.degraded_sessions;
+    switch (status.state) {
       case SessionState::kWaiting: ++next.waiting; break;
       case SessionState::kRunning:
         ++next.active;
-        // ComputeStatus estimated exactly when a running session had a
-        // snapshot.
-        if (statuses[i].snapshot != nullptr) ++next.reports_computed;
+        AddLifetimeTotals(sessions_[i], &next);
         break;
-      case SessionState::kDone: ++next.done; break;
+      case SessionState::kDone:
+        ++next.done;
+        if (slots_[i].final_snapshot == nullptr) {
+          Session& session = sessions_[i];
+          slots_[i].final_snapshot = status.snapshot;
+          session.report.reset();
+          AddLifetimeTotals(session, &retired_);
+          AddLifetimeTotals(session, &next);
+        }
+        break;
     }
-    if (statuses[i].degraded) ++next.degraded_sessions;
-    const Session& s = sessions_[i];
-    if (s.client == nullptr) continue;
-    const ClientStats& cs = s.client->stats();
-    next.transport_polls += cs.polls;
-    next.transport_retries += cs.retries;
-    next.transport_failures += cs.transport_failures;
-    next.decode_errors += cs.decode_errors;
-    next.snapshots_accepted += cs.accepted;
-    next.duplicates_ignored += cs.duplicates_ignored;
-    next.regressions_rejected += cs.regressions_rejected;
-    next.stale_reports += cs.stale_polls;
-    next.transport_bytes += cs.bytes_received;
-    next.deltas_applied += cs.deltas_applied;
-    next.delta_resyncs += cs.delta_resyncs;
-    next.request_id_mismatches += cs.request_id_mismatches;
   }
   // Publishing happens under stats_mu_ only — the pool's lock is never held
   // here, so the kMonitorStats < kThreadPool rank order is trivially
-  // respected. Registration counts and lifetime totals carry over.
+  // respected. Registration counts carry over.
   MutexLock lock(&stats_mu_);
   next.sessions = published_.sessions;
   next.estimators_cached = published_.estimators_cached;
   next.remote_sessions = published_.remote_sessions;
   next.ticks = published_.ticks + 1;
-  next.reports_computed += published_.reports_computed;
   published_ = next;
+}
+
+std::vector<SessionStatus> MonitorService::Tick(double now_ms) {
+  std::vector<SessionStatus> statuses;
+  TickInto(now_ms, &statuses);
   return statuses;
 }
 
@@ -207,14 +257,17 @@ void MonitorService::RunToCompletion(
   const double tick = options_.tick_ms > 0
                           ? options_.tick_ms
                           : horizon / std::max(1, options_.ticks_per_horizon);
+  // One status buffer serves every tick.
+  std::vector<SessionStatus> statuses;
+  auto tick_and_render = [&](double now_ms) {
+    TickInto(now_ms, &statuses);
+    if (render) render(now_ms, statuses);
+  };
   if (tick <= 0) {
     // Degenerate horizon: every session is empty. One t=0 tick still
     // reports their kDone states; looping `t += 0` would never terminate
     // (the bug the old multi_query_monitor example had).
-    if (!sessions_.empty()) {
-      auto statuses = Tick(0);
-      if (render) render(0, statuses);
-    }
+    if (!sessions_.empty()) tick_and_render(0);
     return;
   }
   // Tick times are indexed (t = i * tick), never accumulated (t += tick):
@@ -229,8 +282,7 @@ void MonitorService::RunToCompletion(
   for (;; ++i) {
     t = static_cast<double>(i) * tick;
     if (t > horizon + 1e-9) break;
-    auto statuses = Tick(t);
-    if (render) render(t, statuses);
+    tick_and_render(t);
   }
   // Overtime: a lossy link may not have delivered some remote session's
   // final snapshot by the nominal horizon (drops, delays). Keep ticking a
@@ -240,8 +292,7 @@ void MonitorService::RunToCompletion(
   // and its output is unchanged.
   for (int extra = 0; extra < kMaxOvertimeTicks && !AllSessionsDone();
        ++extra) {
-    auto statuses = Tick(t);
-    if (render) render(t, statuses);
+    tick_and_render(t);
     ++i;
     t = static_cast<double>(i) * tick;
   }

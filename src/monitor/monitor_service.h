@@ -53,9 +53,10 @@ struct SessionStatus {
   /// The DMV poll the estimate was computed from (null while waiting, the
   /// final snapshot once done).
   const ProfileSnapshot* snapshot = nullptr;
-  /// Full estimator output; meaningful while kRunning.
-  ProgressReport report;
-  /// [0, 1]; 0 while waiting, 1 once done, report.query_progress otherwise.
+  /// Full estimator output for `snapshot`, held by the session: null unless
+  /// the status is kRunning with a snapshot, and valid until the next tick.
+  const ProgressReport* report = nullptr;
+  /// [0, 1]; 0 while waiting, 1 once done, report->query_progress otherwise.
   double progress = 0;
 
   // --- Transport condition (endpoint-backed sessions only) ---
@@ -87,8 +88,9 @@ struct MonitorStats {
   size_t waiting = 0;
   size_t done = 0;
   uint64_t ticks = 0;
-  /// Estimates computed: one per tick for each running session that has a
-  /// snapshot.
+  /// Estimates that ran. A running session with a snapshot estimates only
+  /// when the snapshot differs from the one it estimated last; a repeat
+  /// serves the held report and is not counted.
   uint64_t reports_computed = 0;
   /// Distinct (plan, catalog, options) estimators built — the cache keeps
   /// this below the session count when sessions share a plan.
@@ -132,8 +134,10 @@ struct MonitorStats {
 /// Each registered session pairs an executed query's trace with a start
 /// offset on the shared timeline. Tick(t) computes a ProgressReport for
 /// every session active at time t on a worker pool, one checked estimator
-/// call per session (each session owns a ProgressInvariantChecker, the
-/// always-on <5% overhead configuration of DESIGN.md §7). Estimators are
+/// call per session whose snapshot changed since its last estimate (each
+/// session owns a ProgressInvariantChecker, the always-on <5% overhead
+/// configuration of DESIGN.md §7); waiting and done sessions are filled
+/// from a packed per-session slot (DESIGN.md §8). Estimators are
 /// cached per distinct (plan, catalog, options) and shared across sessions —
 /// safely, because estimators are const after construction and every
 /// session drives EstimateInto through its own private Workspace — while
@@ -142,8 +146,8 @@ struct MonitorStats {
 ///
 /// Determinism contract: results depend only on the registered sessions and
 /// the tick times, never on options.num_threads or scheduling. Work is
-/// computed in parallel into per-session slots and returned in session
-/// registration order, so rendering the returned statuses produces
+/// computed in parallel into per-session status entries and returned in
+/// session registration order, so rendering the returned statuses produces
 /// byte-identical output for 1 thread and N threads (remote_test's fleet
 /// case verifies this on every run).
 ///
@@ -206,9 +210,15 @@ class MonitorService {
   /// True when every session has reached kDone as of the last tick.
   bool AllSessionsDone() const;
 
-  /// Advances the shared timeline to `now_ms` and computes every session's
-  /// status. Call with non-decreasing times — the invariant checkers
-  /// require in-order replay. Returned statuses are indexed by session id.
+  /// Advances the shared timeline to `now_ms` and writes every session's
+  /// status into `*statuses`, resized to the session count, indexed by
+  /// session id, every element overwritten. Call with non-decreasing times
+  /// — the invariant checkers require in-order replay. A reused vector
+  /// makes a steady-state tick of local sessions allocation-free.
+  void TickInto(double now_ms, std::vector<SessionStatus>* statuses)
+      LQS_EXCLUDES(stats_mu_);
+
+  /// TickInto into a fresh vector.
   std::vector<SessionStatus> Tick(double now_ms) LQS_EXCLUDES(stats_mu_);
 
   /// Runs the whole timeline: ticks from the first tick mark through the
@@ -230,28 +240,44 @@ class MonitorService {
   MonitorStats stats() const LQS_EXCLUDES(stats_mu_);
 
  private:
+  /// What a tick reads first for each session, packed apart from Session:
+  /// a waiting or done session is filled from its slot alone, without
+  /// touching Session or polling its client.
+  struct Slot {
+    double start_offset_ms;
+    bool remote;
+    /// Null until the tick the session turns done; then the final snapshot
+    /// every later tick shows.
+    const ProfileSnapshot* final_snapshot;
+  };
+
   struct Session {
     std::string name;
-    const Plan* plan;
-    const Catalog* catalog;
     /// Local sessions read this trace directly; null for remote sessions.
     const ProfileTrace* trace;
-    double start_offset_ms;
-    const ProgressEstimator* estimator;  // owned by estimator_cache_
+    /// Holds the session's cached estimator.
     std::unique_ptr<ProgressInvariantChecker> checker;
     /// Remote sessions poll through this client; null for local sessions.
     /// Like `checker`, it is per-session mutable state: touched by exactly
     /// one pool worker per tick, ticks ordered by the ParallelFor barrier.
     std::unique_ptr<PollingClient> client;
-    /// Latest state, written by ComputeStatus (same ownership as above) so
-    /// the driver can detect completion and aggregate transport stats.
-    SessionState last_state = SessionState::kWaiting;
-    /// Estimation scratch reused across ticks, bound to `estimator` on the
-    /// first estimate. Estimators are shared across sessions via the cache,
-    /// but each session owns its workspace — exactly the one-workspace-per-
-    /// estimator-per-thread contract, because a session is touched by
-    /// exactly one pool worker per tick and ticks are ordered by the
-    /// ParallelFor barrier (the same ownership rule as `checker`/`client`).
+    /// The report running statuses point at: made on the first estimate,
+    /// released on the tick the session turns done.
+    std::unique_ptr<ProgressReport> report;
+    /// The snapshot `report` was estimated from — its address and the bits
+    /// of its time_ms. A tick that shows the same snapshot serves `report`.
+    const ProfileSnapshot* estimated = nullptr;
+    uint64_t estimated_time_bits = 0;
+    /// Estimates run over the session's life: its share of
+    /// MonitorStats::reports_computed.
+    uint64_t estimates = 0;
+    /// Estimation scratch reused across ticks, bound to the checker's
+    /// estimator on the first estimate. Estimators are shared across
+    /// sessions via the cache, but each session owns its workspace —
+    /// exactly the one-workspace-per-estimator-per-thread contract, because
+    /// a session is touched by exactly one pool worker per tick and ticks
+    /// are ordered by the ParallelFor barrier (the same ownership rule as
+    /// `checker`/`client`).
     ProgressEstimator::Workspace workspace;
   };
 
@@ -271,15 +297,22 @@ class MonitorService {
                  std::unique_ptr<PollingClient> client, double start_offset_ms,
                  const EstimatorOptions& estimator_options);
 
+  /// Adds the session's lifetime totals to `*into`: its estimates and, for
+  /// a remote session, its client's transport counters.
+  static void AddLifetimeTotals(const Session& session, MonitorStats* into);
+
   /// Computes one session's status at `now_ms` (runs on a pool worker).
-  /// Local sessions read their trace, remote ones poll their client; both
-  /// then share one done / running / no-snapshot / estimate tail.
-  /// LQS_NOALLOC: this is the steady-state body of Tick() — one call per
-  /// active session per tick, fanned out across the pool. Its deliberate
-  /// allocation boundaries (workspace sizing, transport decode, violation
-  /// reporting) are LQS_ALLOC_OK-annotated at their definitions;
-  /// everything else must stay heap-free (tests/estimator_alloc_test.cc
-  /// bounds the whole Tick at runtime).
+  /// A waiting or done session is filled from its slot. Otherwise local
+  /// sessions read their trace, remote ones poll their client; both then
+  /// share one done / running / no-snapshot / estimate tail, and a repeat
+  /// of the last estimated snapshot serves the held report.
+  /// LQS_NOALLOC: this is the steady-state body of TickInto() — one call per
+  /// session per tick, fanned out across the pool. Its deliberate
+  /// allocation boundaries (the report made on a session's first estimate,
+  /// workspace sizing, transport decode, violation reporting) are
+  /// LQS_ALLOC_OK-annotated at the line or the definition; everything else
+  /// must stay heap-free (tests/estimator_alloc_test.cc holds a
+  /// steady-state TickInto of local sessions at zero allocations).
   /// LQS_DETERMINISTIC: the session-ordered output (`*out`) depends only on
   /// the session's registered inputs and `now_ms`, never on threads or
   /// wall-clock time.
@@ -291,11 +324,18 @@ class MonitorService {
   /// by the driver, joined at the barrier before any state below is read.
   ThreadPool pool_;  // lqs-verify: guard-ok(internally synchronized pool)
   /// Driver-thread-only by the documented threading contract: registration
-  /// and Tick() happen on one thread; pool workers touch disjoint per-
-  /// session slots between fan-out and barrier. stats() never reads these —
+  /// and ticks happen on one thread; between fan-out and barrier pool
+  /// workers read the slots and touch disjoint sessions, and only the
+  /// driver writes a slot, after the barrier. stats() never reads these —
   /// it reads `published_` below.
   // lqs-verify: guard-ok(driver-owned; stats() reads published_)
+  std::vector<Slot> slots_;  // same indices as sessions_
+  // lqs-verify: guard-ok(driver-owned; stats() reads published_)
   std::vector<Session> sessions_;
+  /// Lifetime totals of the sessions already done, each added once on the
+  /// tick it turned done, so a tick re-sums only its running sessions.
+  // lqs-verify: guard-ok(driver-owned; stats() reads published_)
+  MonitorStats retired_;
   // lqs-verify: guard-ok(driver-owned; stats() reads published_)
   std::map<EstimatorKey, std::unique_ptr<ProgressEstimator>> estimator_cache_;
 

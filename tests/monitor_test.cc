@@ -1,10 +1,12 @@
 // MonitorService: session lifecycle on the shared timeline, the estimator
 // cache, the zero-horizon guard (the old example's infinite loop), the
 // determinism contract (1-thread and N-thread runs produce identical
-// results), aggregate stats, the indexed (drift-free) tick loop, and the
-// ThreadPool underneath it all.
+// results), aggregate stats, held reports for repeat snapshots, the indexed
+// (drift-free) tick loop, and the ThreadPool underneath it all.
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -180,8 +182,10 @@ TEST_F(MonitorTest, OutputIdenticalAcrossThreadCounts) {
           for (const SessionStatus& s : statuses) {
             rendered += StringF("  %d state=%d p=%.17g", s.session_id,
                                 static_cast<int>(s.state), s.progress);
-            for (double op : s.report.operator_progress) {
-              rendered += StringF(" %.17g", op);
+            if (s.report != nullptr) {
+              for (double op : s.report->operator_progress) {
+                rendered += StringF(" %.17g", op);
+              }
             }
             rendered += "\n";
           }
@@ -221,8 +225,9 @@ TEST_F(MonitorTest, StatsCountTicksAndReports) {
 TEST_F(MonitorTest, StatsCarryLifetimeTotalsAndRecountEachTick) {
   // Each Tick() publishes a fresh recount of the session states while the
   // registration counts and lifetime totals carry over: reports_computed
-  // sums every tick's estimates, active/waiting/done describe the latest
-  // tick only.
+  // sums every estimate that ran — a running session's tick whose snapshot
+  // (address and time) differs from the one it estimated last —
+  // active/waiting/done describe the latest tick only.
   Plan plan = Annotated(Sort(Scan("t_big"), {2}));
   ExecutionResult result = Run(plan);
   MonitorService monitor;
@@ -231,7 +236,7 @@ TEST_F(MonitorTest, StatsCarryLifetimeTotalsAndRecountEachTick) {
                             &result.trace, 5.0 * i);
   }
   const double horizon = monitor.HorizonMs();
-  uint64_t estimates = 0;
+  EstimateCounter estimates;
   for (int i = 1; i <= 8; ++i) {
     const std::vector<SessionStatus> statuses =
         monitor.Tick(horizon * i / 8);
@@ -239,17 +244,98 @@ TEST_F(MonitorTest, StatsCarryLifetimeTotalsAndRecountEachTick) {
     for (const SessionStatus& s : statuses) {
       if (s.state != SessionState::kRunning) continue;
       ++running;
-      if (s.snapshot != nullptr) ++estimates;
+      if (s.snapshot != nullptr) estimates.Add(s.session_id, *s.snapshot);
     }
     const MonitorStats stats = monitor.stats();
     EXPECT_EQ(stats.active, running) << "tick " << i;
     EXPECT_EQ(stats.active + stats.waiting + stats.done, 3u) << "tick " << i;
-    EXPECT_EQ(stats.reports_computed, estimates) << "tick " << i;
+    EXPECT_EQ(stats.reports_computed, estimates.count()) << "tick " << i;
     EXPECT_EQ(stats.ticks, static_cast<uint64_t>(i));
     EXPECT_EQ(stats.sessions, 3u);
     EXPECT_EQ(stats.estimators_cached, 1u);
   }
-  EXPECT_GT(estimates, 3u);
+  EXPECT_GT(estimates.count(), 3u);
+}
+
+// True when both reports hold the same bits in all five fields.
+bool SameBits(const ProgressReport& a, const ProgressReport& b) {
+  const auto same = [](const std::vector<double>& x,
+                       const std::vector<double>& y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end(),
+                      [](double l, double r) {
+                        return std::bit_cast<uint64_t>(l) ==
+                               std::bit_cast<uint64_t>(r);
+                      });
+  };
+  return std::bit_cast<uint64_t>(a.query_progress) ==
+             std::bit_cast<uint64_t>(b.query_progress) &&
+         same(a.operator_progress, b.operator_progress) &&
+         same(a.refined_rows, b.refined_rows) &&
+         same(a.pipeline_progress, b.pipeline_progress) &&
+         same(a.pipeline_weight, b.pipeline_weight);
+}
+
+// A tick that shows the snapshot a session estimated last serves the
+// session's held report. Ticked every 0.5 ms over traces sampled every
+// 2 ms, most ticks repeat the snapshot of the tick before. Every report a
+// running status points at must still equal, bit for bit, what a fresh
+// workspace estimates from its snapshot; only ticks whose snapshot changed
+// count as estimates; and no other status carries a report.
+TEST_F(MonitorTest, RepeatSnapshotsServeTheHeldReport) {
+  Plan join = Annotated(
+      HashAgg(HashJoin(JoinKind::kInner, Scan("t_small"), Scan("t_big"), {0},
+                       {1}),
+              {2}, {Count()}));
+  ExecutionResult result = Run(join, /*interval_ms=*/2.0);
+  // The same trace without its first three snapshots: its session runs
+  // without a snapshot for its first few ticks.
+  ProfileTrace late = result.trace;
+  ASSERT_GT(late.snapshots.size(), 6u);
+  late.snapshots.erase(late.snapshots.begin(), late.snapshots.begin() + 3);
+  const ProgressEstimator oracle(&join, catalog_.get(),
+                                 EstimatorOptions::Lqs());
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(StringF("%d thread(s)", threads));
+    MonitorOptions options;
+    options.num_threads = threads;
+    MonitorService monitor(options);
+    for (int i = 0; i < 6; ++i) {
+      monitor.RegisterSession(StringF("s%d", i), &join, catalog_.get(),
+                              &result.trace, 1.25 * i);
+    }
+    monitor.RegisterSession("late", &join, catalog_.get(), &late, 0.75);
+    EstimateCounter estimates;
+    uint64_t served = 0;
+    size_t no_snapshot = 0;
+    std::vector<SessionStatus> statuses;
+    for (int k = 1; !monitor.AllSessionsDone(); ++k) {
+      ASSERT_LT(k, 100000) << "sessions never finished";
+      monitor.TickInto(0.5 * k, &statuses);
+      for (const SessionStatus& s : statuses) {
+        if (s.state != SessionState::kRunning || s.snapshot == nullptr) {
+          EXPECT_EQ(s.report, nullptr) << "tick " << k << " session "
+                                       << s.session_id;
+          if (s.state == SessionState::kRunning) ++no_snapshot;
+          continue;
+        }
+        ASSERT_NE(s.report, nullptr);
+        ++served;
+        ProgressEstimator::Workspace fresh;
+        ProgressReport expected;
+        oracle.EstimateInto(*s.snapshot, &fresh, &expected);
+        EXPECT_TRUE(SameBits(*s.report, expected))
+            << "tick " << k << " session " << s.session_id;
+        EXPECT_EQ(s.progress, expected.query_progress);
+        estimates.Add(s.session_id, *s.snapshot);
+      }
+      EXPECT_EQ(monitor.stats().reports_computed, estimates.count())
+          << "tick " << k;
+    }
+    EXPECT_GT(no_snapshot, 0u);
+    EXPECT_LT(estimates.count(), served);
+    EXPECT_TRUE(monitor.FinalCheck().ok());
+  }
 }
 
 // Regression test for the accumulated-tick drift bug. With tick_ms = 6.7 —

@@ -760,6 +760,41 @@ void BuildLossyFleetQueries(double interval_ms, LossyFleetQueries* out) {
   }
 }
 
+// Registers session `i` of a lossy delta fleet: query i mod 4 over a delta
+// loopback behind perfbench fleet_churn's fault mix (10% dropped, 10%
+// delayed up to three intervals, 5% duplicated, 1% corrupted), with its own
+// fault and jitter seeds and otherwise default client options.
+void RegisterLossyDeltaSession(const LossyFleetQueries& queries, int i,
+                               double interval_ms, double start_offset_ms,
+                               MonitorService* monitor) {
+  const size_t q = static_cast<size_t>(i) % queries.plans.size();
+  LoopbackOptions loopback;
+  loopback.serve_deltas = true;
+  FaultConfig faults;
+  faults.drop_probability = 0.10;
+  faults.delay_probability = 0.10;
+  faults.max_delay_ms = 3 * interval_ms;
+  faults.duplicate_probability = 0.05;
+  faults.corrupt_probability = 0.01;
+  faults.seed = 100 + static_cast<uint64_t>(i);
+  PollingClientOptions client_options;
+  client_options.jitter_seed = 1000 + static_cast<uint64_t>(i);
+  monitor->RegisterRemoteSession(
+      "q" + std::to_string(i), &queries.plans[q], queries.catalog.get(),
+      std::make_unique<FaultInjectingEndpoint>(
+          std::make_unique<LoopbackEndpoint>(&queries.traces[q].trace,
+                                             loopback),
+          faults),
+      start_offset_ms, client_options);
+}
+
+// The operator progress a running status shows. A running session with no
+// snapshot yet has no report and shows none.
+const std::vector<double>& OperatorProgress(const SessionStatus& s) {
+  static const std::vector<double> kNone;
+  return s.report != nullptr ? s.report->operator_progress : kNone;
+}
+
 // The ISSUE acceptance run. 64 sessions over lossy links (drop=10%, delay up
 // to 3 polling intervals, dup=5%, per-session seeds) against the identical
 // fault-free setup:
@@ -885,26 +920,10 @@ TEST(RemoteMonitorTest, LossyDeltaFleetIsPinnedAcrossThreads) {
     options.num_threads = threads;
     options.tick_ms = kIntervalMs;
     MonitorService monitor(options);
-    LoopbackOptions loopback;
-    loopback.serve_deltas = true;
     for (int i = 0; i < kSessions; ++i) {
-      const size_t q = static_cast<size_t>(i) % queries.plans.size();
-      FaultConfig faults;
-      faults.drop_probability = 0.10;
-      faults.delay_probability = 0.10;
-      faults.max_delay_ms = 3 * kIntervalMs;
-      faults.duplicate_probability = 0.05;
-      faults.corrupt_probability = 0.01;
-      faults.seed = 100 + static_cast<uint64_t>(i);
-      PollingClientOptions client_options;
-      client_options.jitter_seed = 1000 + static_cast<uint64_t>(i);
-      monitor.RegisterRemoteSession(
-          "q" + std::to_string(i), &queries.plans[q], queries.catalog.get(),
-          std::make_unique<FaultInjectingEndpoint>(
-              std::make_unique<LoopbackEndpoint>(&queries.traces[q].trace,
-                                                 loopback),
-              faults),
-          /*start_offset_ms=*/(i % 16) * kIntervalMs, client_options);
+      RegisterLossyDeltaSession(queries, i, kIntervalMs,
+                                /*start_offset_ms=*/(i % 16) * kIntervalMs,
+                                &monitor);
     }
     BitHash hash;
     monitor.RunToCompletion(
@@ -917,7 +936,7 @@ TEST(RemoteMonitorTest, LossyDeltaFleetIsPinnedAcrossThreads) {
             hash.AddWord(s.degraded);
             hash.AddWord(static_cast<uint64_t>(s.consecutive_failures));
             if (s.state == SessionState::kRunning) {
-              hash.AddVector(s.report.operator_progress);
+              hash.AddVector(OperatorProgress(s));
             }
           }
         });
@@ -958,6 +977,105 @@ TEST(RemoteMonitorTest, LossyDeltaFleetIsPinnedAcrossThreads) {
             " accepted=444 duplicates=314 regressions=307 stale=152"
             " bytes=86400 deltas=894 resyncs=18 mismatches=49")
       << "transport counters moved";
+}
+
+// A tick re-sums only its running sessions and adds each finished
+// session's totals once, on the tick it turns done. So over a lossy fleet
+// with staggered arrivals, after every tick stats() must equal a recount
+// from scratch over every session — states and degraded sessions from the
+// statuses, estimates by the repeat-snapshot rule, transport totals from
+// every session's client — and AllSessionsDone() must hold exactly when
+// every status is kDone. One session registers after ticking has begun and
+// must wait, run, finish and be counted like the rest.
+TEST(RemoteMonitorTest, StatsEqualARecountAfterEveryTick) {
+  constexpr double kIntervalMs = 5.0;
+  constexpr int kSessions = 48;
+  constexpr int kLateTick = 10;
+  LossyFleetQueries queries;
+  ASSERT_NO_FATAL_FAILURE(BuildLossyFleetQueries(kIntervalMs, &queries));
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(StringF("%d thread(s)", threads));
+    MonitorOptions options;
+    options.num_threads = threads;
+    MonitorService monitor(options);
+    for (int i = 0; i < kSessions; ++i) {
+      RegisterLossyDeltaSession(queries, i, kIntervalMs,
+                                /*start_offset_ms=*/2.5 * i, &monitor);
+    }
+    EstimateCounter estimates;
+    int late = -1;
+    std::vector<SessionState> late_states;
+    bool saw_every_state = false;
+    std::vector<SessionStatus> statuses;
+    for (int tick = 1; !monitor.AllSessionsDone(); ++tick) {
+      ASSERT_LT(tick, 2000) << "the fleet never finished";
+      const double now = tick * kIntervalMs;
+      if (tick == kLateTick) {
+        late = kSessions;
+        RegisterLossyDeltaSession(queries, late, kIntervalMs,
+                                  now + 3 * kIntervalMs, &monitor);
+      }
+      monitor.TickInto(now, &statuses);
+      ASSERT_EQ(statuses.size(), monitor.session_count());
+
+      MonitorStats recount;
+      recount.sessions = monitor.session_count();
+      recount.remote_sessions = monitor.session_count();
+      recount.estimators_cached = queries.plans.size();
+      recount.ticks = static_cast<uint64_t>(tick);
+      for (const SessionStatus& s : statuses) {
+        if (s.degraded) ++recount.degraded_sessions;
+        switch (s.state) {
+          case SessionState::kWaiting: ++recount.waiting; break;
+          case SessionState::kRunning: ++recount.active; break;
+          case SessionState::kDone: ++recount.done; break;
+        }
+        if (s.state == SessionState::kRunning && s.snapshot != nullptr) {
+          estimates.Add(s.session_id, *s.snapshot);
+        }
+      }
+      recount.reports_computed = estimates.count();
+      for (size_t i = 0; i < monitor.session_count(); ++i) {
+        const ClientStats& cs =
+            monitor.session_client_stats(static_cast<int>(i));
+        recount.transport_polls += cs.polls;
+        recount.transport_retries += cs.retries;
+        recount.transport_failures += cs.transport_failures;
+        recount.decode_errors += cs.decode_errors;
+        recount.snapshots_accepted += cs.accepted;
+        recount.duplicates_ignored += cs.duplicates_ignored;
+        recount.regressions_rejected += cs.regressions_rejected;
+        recount.stale_reports += cs.stale_polls;
+        recount.transport_bytes += cs.bytes_received;
+        recount.deltas_applied += cs.deltas_applied;
+        recount.delta_resyncs += cs.delta_resyncs;
+        recount.request_id_mismatches += cs.request_id_mismatches;
+      }
+      MonitorStats published = monitor.stats();
+      published.num_threads = 0;
+      ASSERT_EQ(published, recount) << "tick " << tick;
+      EXPECT_EQ(monitor.AllSessionsDone(), recount.done == statuses.size())
+          << "tick " << tick;
+      saw_every_state = saw_every_state ||
+                        (recount.waiting > 0 && recount.active > 0 &&
+                         recount.done > 0);
+      if (late >= 0) {
+        const SessionState state = statuses[static_cast<size_t>(late)].state;
+        if (late_states.empty() || late_states.back() != state) {
+          late_states.push_back(state);
+        }
+      }
+    }
+    EXPECT_TRUE(saw_every_state)
+        << "no tick had waiting, running and done sessions at once";
+    EXPECT_EQ(late_states,
+              (std::vector<SessionState>{SessionState::kWaiting,
+                                         SessionState::kRunning,
+                                         SessionState::kDone}));
+    EXPECT_GT(monitor.session_client_stats(late).polls, 0u);
+    EXPECT_TRUE(monitor.FinalCheck().ok());
+  }
 }
 
 // Names the first thing `remote` shows differently from `local` on one
@@ -1172,7 +1290,7 @@ TEST(RemoteMonitorTest, FleetAgreesAcrossTransportsAndThreads) {
             hash.AddWord(static_cast<uint64_t>(s.state));
             hash.AddDouble(s.progress);
             if (s.state == SessionState::kRunning) {
-              hash.AddVector(s.report.operator_progress);
+              hash.AddVector(OperatorProgress(s));
             }
           }
         });

@@ -1,6 +1,7 @@
 #ifndef LQS_TESTS_TEST_UTIL_H_
 #define LQS_TESTS_TEST_UTIL_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -79,6 +80,32 @@ class BitHash {
 
  private:
   uint64_t hash_ = 0xcbf29ce484222325ull;  // FNV-1a offset basis
+};
+
+/// Replays the monitor's repeat-snapshot rule from outside: a running
+/// session with a snapshot estimates only when that snapshot differs, by
+/// address or by the bits of its time_ms, from the one it estimated last.
+class EstimateCounter {
+ public:
+  /// Counts the estimate behind one running status with a snapshot.
+  void Add(int session_id, const ProfileSnapshot& snapshot) {
+    const size_t i = static_cast<size_t>(session_id);
+    if (last_.size() <= i) last_.resize(i + 1);
+    const Key key{&snapshot, std::bit_cast<uint64_t>(snapshot.time_ms)};
+    if (last_[i] == key) return;
+    last_[i] = key;
+    ++count_;
+  }
+  uint64_t count() const { return count_; }
+
+ private:
+  struct Key {
+    const ProfileSnapshot* address = nullptr;
+    uint64_t time_bits = 0;
+    bool operator==(const Key&) const = default;
+  };
+  std::vector<Key> last_;
+  uint64_t count_ = 0;
 };
 
 }  // namespace testing

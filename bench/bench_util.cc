@@ -90,10 +90,10 @@ void EvaluateConfigs(const WorkloadQuery& query, const Catalog& catalog,
   if (trace.snapshots.size() < 3) return;  // too short to observe
   result->queries++;
   for (size_t c = 0; c < configs.size(); ++c) {
-    const uint64_t bits = configs[c].options.PackBits();
+    const EstimatorOptions& options = configs[c].options;
     bool evaluated = false;
     for (size_t d = 0; d < c && !evaluated; ++d) {
-      evaluated = configs[d].options.PackBits() == bits;
+      evaluated = configs[d].options == options;
     }
     if (evaluated) continue;
     const QueryEvaluation eval =
@@ -101,7 +101,7 @@ void EvaluateConfigs(const WorkloadQuery& query, const Catalog& catalog,
     // Every column configured like c takes the same sums in the same order,
     // so it holds exactly what evaluating it on its own would give.
     for (size_t d = c; d < configs.size(); ++d) {
-      if (configs[d].options.PackBits() != bits) continue;
+      if (configs[d].options != options) continue;
       result->error_count[d] += eval.error_count;
       result->error_time[d] += eval.error_time;
       for (const OperatorError& op : eval.operator_errors) {

@@ -164,7 +164,6 @@ int main(int argc, char** argv) {
   client_options.timeout_ms = 5.0;  // one polling interval
   client_options.max_attempts = 3;
   client_options.backoff_initial_ms = 1.0;
-  client_options.backoff_max_ms = 4.0;
 
   MonitorOptions monitor_options;
   monitor_options.ticks_per_horizon = 32;
@@ -206,7 +205,7 @@ int main(int argc, char** argv) {
       "\ntransport: %llu polls, %llu attempts (%llu retries), "
       "%llu timeouts, %llu decode errors\n",
       static_cast<unsigned long long>(stats.polls),
-      static_cast<unsigned long long>(stats.attempts),
+      static_cast<unsigned long long>(stats.polls + stats.retries),
       static_cast<unsigned long long>(stats.retries),
       static_cast<unsigned long long>(stats.transport_failures),
       static_cast<unsigned long long>(stats.decode_errors));

@@ -12,6 +12,17 @@ namespace {
 
 bool InUnitRange(double v) { return std::isfinite(v) && v >= 0.0 && v <= 1.0; }
 
+/// Allowed decrease of query progress between consecutive snapshots when
+/// the refined cardinality vector did NOT change. With N̂ fixed, every
+/// K_i/N̂_i ratio grows under monotone DMV counters, so query progress is
+/// structurally non-decreasing and any drop beyond this numeric allowance
+/// is a genuine estimator bug. When any N̂_i was revised between the two
+/// snapshots the drop is a legitimate revision event — the paper's §5
+/// revision metric *measures* those, and unguarded configurations revise
+/// by 0.5+ in one polling interval — so it is tracked in
+/// max_query_regression() but never reported as a violation.
+constexpr double kQueryRegressionSlack = 0.01;
+
 /// True when a refined cardinality changed meaningfully between snapshots.
 /// Either direction counts: an upward revision shrinks the numerator's
 /// share directly, a downward one shifts pipeline weight mass onto less
@@ -27,8 +38,8 @@ bool CardinalityRevised(double before, double after) {
 }  // namespace
 
 ProgressInvariantChecker::ProgressInvariantChecker(
-    const ProgressEstimator* estimator, InvariantCheckerOptions options)
-    : estimator_(estimator), options_(options) {}
+    const ProgressEstimator* estimator)
+    : estimator_(estimator) {}
 
 void ProgressInvariantChecker::Reset() {
   report_ = ValidationReport();
@@ -82,7 +93,7 @@ void ProgressInvariantChecker::CheckReport(const ProfileSnapshot& snapshot,
   if (prev_time_ms_ >= 0.0 && snapshot.time_ms >= prev_time_ms_) {
     const double regression = prev_query_progress_ - report.query_progress;
     if (regression > max_regression_) max_regression_ = regression;
-    if (regression > options_.query_regression_slack) {
+    if (regression > kQueryRegressionSlack) {
       bool revised = prev_refined_rows_.size() != report.refined_rows.size();
       for (size_t i = 0; !revised && i < report.refined_rows.size(); ++i) {
         revised = CardinalityRevised(prev_refined_rows_[i],
@@ -94,7 +105,7 @@ void ProgressInvariantChecker::CheckReport(const ProfileSnapshot& snapshot,
                             "no cardinality revision, beyond slack %g",
                             prev_query_progress_, report.query_progress,
                             prev_time_ms_, snapshot.time_ms,
-                            options_.query_regression_slack));
+                            kQueryRegressionSlack));
       }
     }
   }
@@ -102,8 +113,6 @@ void ProgressInvariantChecker::CheckReport(const ProfileSnapshot& snapshot,
   prev_refined_rows_ = report.refined_rows;
   prev_time_ms_ = snapshot.time_ms;
   snapshots_checked_++;
-
-  if (options_.deep_bounds_check) CheckBounds(snapshot, report);
 }
 
 void ProgressInvariantChecker::ReportRangeViolations(
@@ -201,7 +210,7 @@ void ProgressInvariantChecker::CheckBounds(const ProfileSnapshot& snapshot,
 
 void ProgressInvariantChecker::CheckFinal(
     const ProfileSnapshot& final_snapshot,
-    ProgressEstimator::Workspace* workspace, double min_final_progress) {
+    ProgressEstimator::Workspace* workspace) {
   ProgressReport report;
   estimator_->EstimateInto(final_snapshot, workspace, &report);
   const EstimatorOptions& opts = estimator_->options();
@@ -216,11 +225,6 @@ void ProgressInvariantChecker::CheckFinal(
                 StringF("refining estimator reports %g at end-of-stream, "
                         "expected 1.0",
                         report.query_progress));
-  }
-  if (report.query_progress < min_final_progress) {
-    report_.Add("progress.final_floor", -1, -1,
-                StringF("final progress %g below configured floor %g",
-                        report.query_progress, min_final_progress));
   }
 }
 

@@ -11,27 +11,6 @@
 
 namespace lqs {
 
-/// Knobs of the runtime invariant checker. The defaults are cheap enough to
-/// leave on wherever snapshots are replayed (perfbench's analysis.check_ns):
-/// every per-snapshot check is O(nodes) over the already-computed report.
-struct InvariantCheckerOptions {
-  /// Allowed decrease of query progress between consecutive snapshots when
-  /// the refined cardinality vector did NOT change. With N̂ fixed, every
-  /// K_i/N̂_i ratio grows under monotone DMV counters, so query progress is
-  /// structurally non-decreasing and any drop beyond this numeric allowance
-  /// is a genuine estimator bug. When any N̂_i was revised between the two
-  /// snapshots the drop is a legitimate revision event — the paper's §5
-  /// revision metric *measures* those, and unguarded configurations revise
-  /// by 0.5+ in one polling interval — so it is tracked in
-  /// max_query_regression() but never reported as a violation.
-  double query_regression_slack = 0.01;
-  /// Recompute the Appendix A bounds per snapshot and cross-check them
-  /// against the report (lower <= upper, Clamp idempotence, refined rows
-  /// within bounds). Roughly doubles checker cost — intended for tests and
-  /// debugging, not for the always-on path.
-  bool deep_bounds_check = false;
-};
-
 /// Wraps a ProgressEstimator during snapshot replay and verifies the
 /// invariants the paper states but the estimator itself never asserts:
 ///
@@ -43,8 +22,8 @@ struct InvariantCheckerOptions {
 ///    refined cardinality vector is stable; drops caused by cardinality
 ///    revisions are legal and only tracked (snapshots must be fed in time
 ///    order);
-///  - with deep_bounds_check: CardinalityBounds satisfy lower <= upper with
-///    finite non-negative lower, Clamp is idempotent, and every refined
+///  - on request (CheckBounds): CardinalityBounds satisfy lower <= upper
+///    with finite non-negative lower, Clamp is idempotent, and every refined
 ///    cardinality lies within [lower, max(upper, 1)] — the upper is floored
 ///    at one row because the estimator deliberately floors N̂_i at 1 for
 ///    finished-empty operators to keep progress ratios well-defined.
@@ -53,8 +32,7 @@ struct InvariantCheckerOptions {
 /// checker never aborts, so a replay surfaces every violation at once.
 class ProgressInvariantChecker {
  public:
-  explicit ProgressInvariantChecker(const ProgressEstimator* estimator,
-                                    InvariantCheckerOptions options = {});
+  explicit ProgressInvariantChecker(const ProgressEstimator* estimator);
 
   /// Runs the wrapped estimator on `snapshot` into `*report`, then checks
   /// the result. Snapshots must be fed in non-decreasing time order for the
@@ -71,13 +49,18 @@ class ProgressInvariantChecker {
   void CheckReport(const ProfileSnapshot& snapshot,
                    const ProgressReport& report);
 
-  /// End-of-stream checks on the final snapshot, estimated through the
+  /// Recomputes the Appendix A bounds and cross-checks them against
+  /// `report`, the wrapped estimator's report on `snapshot`. Roughly doubles
+  /// checker cost, so tests call it and the always-on path does not.
+  void CheckBounds(const ProfileSnapshot& snapshot,
+                   const ProgressReport& report);
+
+  /// End-of-stream check on the final snapshot, estimated through the
   /// caller's `workspace` (same contract as EstimateCheckedInto): the full
   /// LQS configuration (driver nodes + refinement + bounding) must report
-  /// exactly 1.0; every configuration must report a sane completion value.
+  /// exactly 1.0.
   void CheckFinal(const ProfileSnapshot& final_snapshot,
-                  ProgressEstimator::Workspace* workspace,
-                  double min_final_progress = 0.0);
+                  ProgressEstimator::Workspace* workspace);
 
   const ValidationReport& report() const { return report_; }
   const ProgressEstimator& estimator() const { return *estimator_; }
@@ -95,11 +78,8 @@ class ProgressInvariantChecker {
   /// attribute the violation(s) the fast scan detected.
   void ReportRangeViolations(const ProfileSnapshot& snapshot,
                              const ProgressReport& report);
-  void CheckBounds(const ProfileSnapshot& snapshot,
-                   const ProgressReport& report);
 
   const ProgressEstimator* estimator_;
-  InvariantCheckerOptions options_;
   ValidationReport report_;
   double prev_query_progress_ = 0.0;
   std::vector<double> prev_refined_rows_;

@@ -84,7 +84,7 @@ Status HashAggregateOp::InputPhase() {
       }
     }
   }
-  if (groups_.size() > ctx_->options().memory_rows) {
+  if (groups_.size() > cost::kMemoryRows) {
     const double pages = static_cast<double>(groups_.size()) /
                          static_cast<double>(kRowsPerPage);
     const double total_ms = 2.0 * pages * cost::kIoSpillPageMs;

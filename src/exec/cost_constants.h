@@ -50,6 +50,10 @@ inline constexpr double kCpuBatchRowMs = 0.00012;
 
 /// Rows that fit in operator memory before Sort/Hash spill to disk.
 inline constexpr unsigned long long kMemoryRows = 1ULL << 16;
+/// Maximum rows an Exchange operator may buffer (§4.4).
+inline constexpr unsigned long long kExchangeBufferRows = 65536;
+/// Outer rows a buffered Nested Loops join prefetches per refill (§4.4).
+inline constexpr unsigned long long kNljPrefetchRows = 8192;
 
 }  // namespace cost
 }  // namespace lqs

@@ -17,8 +17,8 @@ StatusOr<bool> ExchangeOp::GetNextImpl(Row* out) {
   // of the consumer, parking rows in exchange packets. We model this by
   // pulling a batch of child rows per row emitted (the child's K_i runs a
   // large factor ahead of the exchange's K_i while the child is active,
-  // then the gap drains), with the buffer capped at exchange_buffer_rows.
-  if (!child_eof_ && buffer_.size() < ctx_->options().exchange_buffer_rows) {
+  // then the gap drains), with the buffer capped at kExchangeBufferRows.
+  if (!child_eof_ && buffer_.size() < cost::kExchangeBufferRows) {
     const uint64_t batch = ctx_->options().exchange_pull_batch;
     Row row;
     for (uint64_t i = 0; i < batch; ++i) {

@@ -9,7 +9,6 @@
 #include "common/virtual_clock.h"
 #include "dmv/profiler.h"
 #include "dmv/query_profile.h"
-#include "exec/cost_constants.h"
 #include "storage/catalog.h"
 
 namespace lqs {
@@ -18,15 +17,9 @@ namespace lqs {
 struct ExecOptions {
   /// DMV polling interval for the profiler (the SSMS 500 ms analogue).
   double snapshot_interval_ms = 500.0;
-  /// Maximum rows an Exchange operator may buffer (§4.4).
-  uint64_t exchange_buffer_rows = 65536;
   /// Child rows an Exchange pulls per row it emits while the child is
   /// active — the producer-runs-ahead factor behind the Figure 8 lag.
   uint64_t exchange_pull_batch = 8;
-  /// Outer rows a buffered Nested Loops join prefetches per refill (§4.4).
-  uint64_t nlj_prefetch_rows = 8192;
-  /// Rows that fit in Sort/Hash memory before spilling.
-  uint64_t memory_rows = cost::kMemoryRows;
 };
 
 /// Shared state for one query execution: the virtual clock, live DMV

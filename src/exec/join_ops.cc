@@ -101,7 +101,7 @@ Status HashJoinOp::BuildPhase() {
   }
   uint64_t built = 0;
   for (const auto& [key, group] : table_) built += group.rows.size();
-  if (built > ctx_->options().memory_rows) {
+  if (built > cost::kMemoryRows) {
     const double pages =
         static_cast<double>(built) / static_cast<double>(kRowsPerPage);
     const double total_ms = 2.0 * pages * cost::kIoSpillPageMs;
@@ -437,9 +437,8 @@ StatusOr<bool> NestedLoopJoinOp::NextOuterRow() {
     // entire outer side is consumed before the inner side starts — the
     // pathological case for naive driver-node progress the paper describes.
     if (outer_buffer_.empty() && !outer_eof_) {
-      const uint64_t window = ctx_->options().nlj_prefetch_rows;
       Row row;
-      while (outer_buffer_.size() < window) {
+      while (outer_buffer_.size() < cost::kNljPrefetchRows) {
         auto got = child(0)->GetNext(&row);
         if (!got.ok()) return got.status();
         if (!got.value()) {

@@ -434,8 +434,8 @@ class StreamAggregateOp : public Operator {
 // ---------------------------------------------------------------------------
 
 /// All three Parallelism variants (Gather/Repartition/Distribute Streams):
-/// pulls its child in bursts of exchange_buffer_rows into a row buffer and
-/// emits one buffered row per GetNext, with higher per-row overhead than
+/// pulls its child in bursts into a buffer of up to kExchangeBufferRows rows
+/// and emits one buffered row per GetNext, with higher per-row overhead than
 /// storage scans — reproducing the Figure 8 child/exchange K_i divergence.
 class ExchangeOp : public Operator {
  public:

@@ -66,7 +66,7 @@ Status SortOp::ConsumeAndSort() {
     const int chunks = std::max(1, static_cast<int>(n / 1024));
     for (int i = 0; i < chunks; ++i) ChargeCpu(total_ms / chunks);
   }
-  if (rows_.size() > ctx_->options().memory_rows) {
+  if (rows_.size() > cost::kMemoryRows) {
     // External sort: one spill write + read pass over the run files.
     const double pages =
         static_cast<double>(rows_.size()) / static_cast<double>(kRowsPerPage);

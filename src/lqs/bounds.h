@@ -29,8 +29,8 @@ struct CardinalityBounds {
 };
 
 /// Which bound derivation(s) the bounding pipeline runs per snapshot.
-/// Selected by EstimatorOptions::bounds_engine (monitor cache-key bits
-/// 13-14), so every engine choice is a distinct cached estimator.
+/// Selected by EstimatorOptions::bounds_engine, so every engine choice is a
+/// distinct estimator in the monitor's cache.
 enum class BoundsEngineKind : uint8_t {
   /// The paper's Appendix A algebraic derivation (the default; output is
   /// bit-identical to the pre-pipeline monolithic path).

@@ -119,23 +119,6 @@ bool EstimatorOptions::PresetFromName(std::string_view name,
   return false;
 }
 
-uint64_t EstimatorOptions::PackBits() const {
-  uint64_t bits = 0;
-  int shift = 0;
-  for (bool flag :
-       {use_driver_nodes, refine_cardinality, bound_cardinality,
-        semi_blocking_adjust, two_phase_blocking, use_weights,
-        critical_path_only, storage_predicate_io, batch_mode_segments,
-        interpolate_refinement, propagate_refinement, incremental}) {
-    if (flag) bits |= uint64_t{1} << shift;
-    ++shift;
-  }
-  // Bit 12 is unused; bits 13-14: the bounds-engine selector (three engine
-  // kinds).
-  bits |= static_cast<uint64_t>(bounds_engine) << 13;
-  return bits | (refine_min_rows << 16);
-}
-
 ProgressEstimator::ProgressEstimator(const Plan* plan, const Catalog* catalog,
                                      EstimatorOptions options)
     : plan_(plan), catalog_(catalog), options_(options),

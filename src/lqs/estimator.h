@@ -1,6 +1,7 @@
 #ifndef LQS_LQS_ESTIMATOR_H_
 #define LQS_LQS_ESTIMATOR_H_
 
+#include <compare>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -65,8 +66,7 @@ struct EstimatorOptions {
   /// clamp uses when `bound_cardinality` is set (src/lqs/bounds.h). The
   /// default reproduces the paper's Appendix A derivation bit-exactly;
   /// kIntersect additionally runs the LpBound ℓp-norm engine and
-  /// intersects the intervals per node. Packed as cache-key bits 13-14 so
-  /// engine choices never alias one cached estimator.
+  /// intersects the intervals per node.
   BoundsEngineKind bounds_engine = BoundsEngineKind::kAppendixA;
   /// Guard (§4.1): minimum observed rows before refinement engages.
   uint64_t refine_min_rows = 30;
@@ -82,9 +82,8 @@ struct EstimatorOptions {
   static EstimatorOptions Lqs();
 
   /// Shared preset registry over the four §5 configurations above — the
-  /// one list benches and tests draw from. Indexes are stable and part of
-  /// the bench-output contract: 0="tgn", 1="bounding", 2="refined",
-  /// 3="lqs".
+  /// one list tests draw from. Indexes are stable: 0="tgn", 1="bounding",
+  /// 2="refined", 3="lqs".
   static constexpr int kPresetCount = 4;
   /// Canonical short name of preset `index`; aborts on an out-of-range
   /// index (a registry bug, not an input condition).
@@ -97,12 +96,9 @@ struct EstimatorOptions {
   /// `bounds_engine = kIntersect` — the LpBound-tightened clamp variants.
   static bool PresetFromName(std::string_view name, EstimatorOptions* out);
 
-  /// Packs every option field into one integer: two option sets pack
-  /// equal iff they configure identical behaviour. The monitor's
-  /// estimator-cache key is built from this, so any new option MUST be
-  /// packed here too — an unpacked flag would alias distinct
-  /// configurations onto one cached estimator.
-  uint64_t PackBits() const;
+  /// Field-by-field order: two option sets compare equal iff they configure
+  /// identical behaviour. The monitor's estimator cache keys on it.
+  auto operator<=>(const EstimatorOptions&) const = default;
 };
 
 /// Progress output for one DMV snapshot.

@@ -27,7 +27,7 @@ MonitorService::~MonitorService() = default;
 const ProgressEstimator* MonitorService::CachedEstimator(
     const Plan* plan, const Catalog* catalog,
     const EstimatorOptions& options) {
-  const EstimatorKey key{plan, catalog, options.PackBits()};
+  const EstimatorKey key{plan, catalog, options};
   auto it = estimator_cache_.find(key);
   if (it == estimator_cache_.end()) {
     it = estimator_cache_
@@ -110,9 +110,8 @@ void MonitorService::ComputeStatus(size_t index, double now_ms,
   if (out->local_time_ms < 0) return;  // kWaiting, progress 0
   if (slot.final_snapshot != nullptr) {
     // Done on an earlier tick. A complete client serves its final snapshot
-    // without counting anything, healthy and not stale (for any
-    // degrade_after_failures >= 1), so neither the session nor its client
-    // needs a visit.
+    // without counting anything, healthy and not stale, so neither the
+    // session nor its client needs a visit.
     out->state = SessionState::kDone;
     out->snapshot = slot.final_snapshot;
     out->progress = 1.0;

@@ -282,9 +282,9 @@ class MonitorService {
   };
 
   /// Cache key: estimator identity is the plan + catalog + the full option
-  /// set, packed to an integer via EstimatorOptions::PackBits (all fields
-  /// are flags, one engine selector and one threshold).
-  using EstimatorKey = std::tuple<const Plan*, const Catalog*, uint64_t>;
+  /// set, ordered by EstimatorOptions' field-by-field comparison.
+  using EstimatorKey =
+      std::tuple<const Plan*, const Catalog*, EstimatorOptions>;
   const ProgressEstimator* CachedEstimator(const Plan* plan,
                                            const Catalog* catalog,
                                            const EstimatorOptions& options);

@@ -41,9 +41,7 @@ PollResult LoopbackEndpoint::Poll(const PollRequest& request) {
                            /*query_complete=*/false, &result.frame);
     return result;
   }
-  const bool keyframe_due =
-      options_.keyframe_interval > 0 &&
-      deltas_since_keyframe_ + 1 >= options_.keyframe_interval;
+  const bool keyframe_due = deltas_since_keyframe_ + 1 >= kKeyframeInterval;
   if (options_.serve_deltas && !complete && request.has_ack &&
       !request.want_keyframe && !keyframe_due) {
     // The ack names a snapshot by bit-exact time; it is a valid base only

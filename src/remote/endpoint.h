@@ -67,16 +67,15 @@ class SnapshotEndpoint {
   virtual double KnownHorizonMs() const { return -1; }
 };
 
+/// Every kKeyframeInterval-th consecutive delta is served as a full keyframe,
+/// bounding how long a client that lost its base goes without resyncing.
+inline constexpr int kKeyframeInterval = 16;
+
 /// Server-side delta policy for trace-backed endpoints.
 struct LoopbackOptions {
   /// Serve SnapshotDelta frames against the client's acknowledged base when
   /// the request carries one; full snapshots otherwise.
   bool serve_deltas = false;
-  /// Every `keyframe_interval`-th consecutive delta is replaced by a full
-  /// snapshot keyframe, bounding how long a client that lost its base can
-  /// go before resyncing without a round trip. <= 0 disables periodic
-  /// keyframes (resync then relies on want_keyframe).
-  int keyframe_interval = 16;
 };
 
 /// In-process endpoint backed by an executed query's ProfileTrace — the

@@ -33,6 +33,12 @@ bool Regresses(const OperatorProfile& next, const OperatorProfile& last) {
 }  // namespace
 
 bool PollingClient::PassesTimeGate(double time_ms) {
+  if (!std::isfinite(time_ms)) {
+    // Orders against nothing: held, +inf would shut out every later
+    // snapshot, the final one included, and NaN would let an older one in.
+    ++stats_.regressions_rejected;
+    return false;
+  }
   if (!have_snapshot_ || !(time_ms <= last_accepted_.time_ms)) return true;
   // Same instant: a redelivered duplicate, harmless. Older: a reordered
   // late delivery that must not roll the estimator's view back.
@@ -103,7 +109,7 @@ void PollingClient::BuildView(double now_ms, bool accepted_fresh,
     ++stats_.failed_polls;
   }
   view_.consecutive_failures = consecutive_failures_;
-  view_.health = consecutive_failures_ >= options_.degrade_after_failures
+  view_.health = consecutive_failures_ >= kDegradeAfterFailures
                      ? TransportHealth::kDegraded
                      : TransportHealth::kHealthy;
   view_.query_complete = complete_;
@@ -134,16 +140,15 @@ const ClientView& PollingClient::Poll(double now_ms) {
   // Exponential backoff with deterministic jitter before the retry; virtual
   // time advances so the next attempt asks a later question.
   auto back_off = [&] {
-    const double capped = std::min(backoff, options_.backoff_max_ms);
+    const double capped = std::min(backoff, kBackoffMaxMs);
     const double jitter =
-        1.0 + options_.jitter_fraction * (2.0 * jitter_rng_.NextDouble() - 1.0);
+        1.0 + kJitterFraction * (2.0 * jitter_rng_.NextDouble() - 1.0);
     attempt_time += std::max(0.0, capped * jitter);
-    backoff *= options_.backoff_multiplier;
+    backoff *= kBackoffMultiplier;
   };
   for (int attempt = 0; attempt < std::max(1, options_.max_attempts);
        ++attempt) {
     if (attempt > 0) ++stats_.retries;
-    ++stats_.attempts;
     PollRequest request;
     request.request_id = next_request_id_++;
     request.now_ms = attempt_time;

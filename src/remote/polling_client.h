@@ -13,24 +13,26 @@ namespace lqs {
 
 struct SnapshotDelta;
 
+/// Backoff between failed attempts, on the virtual timeline:
+/// backoff_initial_ms * kBackoffMultiplier^k, capped at kBackoffMaxMs, then
+/// jittered by ±kJitterFraction with a seeded draw (sessions seeded alike
+/// would otherwise retry in lockstep — the classic thundering herd).
+inline constexpr double kBackoffMultiplier = 2.0;
+inline constexpr double kBackoffMaxMs = 200;
+inline constexpr double kJitterFraction = 0.2;
+/// Consecutive Poll() calls with no decodable response before the session
+/// is marked degraded. A single decodable response recovers it.
+inline constexpr int kDegradeAfterFailures = 8;
+
 struct PollingClientOptions {
   /// Virtual-time budget for one attempt; a response arriving later than
   /// send + timeout_ms counts as timed out even if it carries bytes.
   double timeout_ms = 50;
   /// Attempts per Poll(): 1 initial + (max_attempts - 1) retries.
   int max_attempts = 4;
-  /// Exponential backoff between failed attempts, on the virtual timeline:
-  /// initial * multiplier^k, capped, then jittered by ±jitter_fraction with
-  /// a deterministic seeded draw (all sessions seeded alike would otherwise
-  /// retry in lockstep — the classic thundering herd).
+  /// First backoff delay and the jitter draw's seed (shape above).
   double backoff_initial_ms = 10;
-  double backoff_multiplier = 2.0;
-  double backoff_max_ms = 200;
-  double jitter_fraction = 0.2;
   uint64_t jitter_seed = 1;
-  /// Consecutive Poll() calls with no decodable response before the session
-  /// is marked degraded. A single decodable response recovers it.
-  int degrade_after_failures = 8;
 };
 
 enum class TransportHealth {
@@ -62,8 +64,8 @@ struct ClientView {
 
 /// Lifetime counters of one client, surfaced into MonitorStats.
 struct ClientStats {
+  /// Attempts made are polls + retries: every poll makes at least one.
   uint64_t polls = 0;
-  uint64_t attempts = 0;
   uint64_t retries = 0;
   /// Attempts that timed out or errored at the transport level.
   uint64_t transport_failures = 0;
@@ -74,7 +76,8 @@ struct ClientStats {
   /// Redeliveries of the already-accepted snapshot (same timestamp).
   uint64_t duplicates_ignored = 0;
   /// Snapshots rejected as older than the last accepted one (reordered late
-  /// deliveries), or carrying a monotone counter that went backwards.
+  /// deliveries), stamped with a non-finite time, or carrying a monotone
+  /// counter that went backwards.
   uint64_t regressions_rejected = 0;
   /// Poll() calls that ended with no decodable response at all.
   uint64_t failed_polls = 0;
@@ -147,9 +150,9 @@ class PollingClient {
   double KnownHorizonMs() const { return endpoint_->KnownHorizonMs(); }
 
  private:
-  /// The accept gate's time check, shared by both arms: true when nothing
-  /// is held or `time_ms` is newer than the held snapshot; otherwise counts
-  /// a duplicate (same instant) or a regression (older) and returns false.
+  /// The accept gate's time check, shared by both arms: true when `time_ms`
+  /// is finite and newer than the held snapshot, if any; otherwise counts a
+  /// duplicate (same instant) or a regression and returns false.
   bool PassesTimeGate(double time_ms);
   /// Full arm: on passing the gate, moves `*snapshot` into last_accepted_
   /// and returns true.

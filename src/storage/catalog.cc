@@ -40,7 +40,7 @@ const ColumnstoreIndex* Catalog::GetColumnstore(
 Status Catalog::BuildAllStatistics(const StatisticsOptions& options) {
   for (auto& [name, table] : tables_) {
     statistics_[name] = std::make_unique<TableStatistics>(
-        *table, options.max_buckets, options.sample_rate, options.seed);
+        *table, options.sample_rate, options.seed);
   }
   return Status::OK();
 }

@@ -16,7 +16,6 @@ namespace lqs {
 /// Options controlling how statistics are built; the knobs that determine how
 /// wrong the optimizer's cardinality estimates are (DESIGN.md §2).
 struct StatisticsOptions {
-  int max_buckets = 32;
   /// Build histograms from this fraction of rows (stale/sampled stats).
   double sample_rate = 1.0;
   uint64_t seed = 7;

@@ -147,8 +147,8 @@ DegreeNorms ComputeDegreeNorms(const Table& table, int column) {
   return norms;
 }
 
-TableStatistics::TableStatistics(const Table& table, int max_buckets,
-                                 double sample_rate, uint64_t seed)
+TableStatistics::TableStatistics(const Table& table, double sample_rate,
+                                 uint64_t seed)
     : table_rows_(static_cast<double>(table.num_rows())) {
   // Small tables get fullscan statistics, as production engines do
   // (sampling a 25-row dimension produces garbage NDV estimates that
@@ -157,8 +157,8 @@ TableStatistics::TableStatistics(const Table& table, int max_buckets,
   histograms_.reserve(table.schema().num_columns());
   degree_norms_.reserve(table.schema().num_columns());
   for (size_t c = 0; c < table.schema().num_columns(); ++c) {
-    histograms_.push_back(Histogram::Build(table, static_cast<int>(c),
-                                           max_buckets, sample_rate, seed));
+    histograms_.push_back(Histogram::Build(table, static_cast<int>(c), 32,
+                                           sample_rate, seed));
     // Norms are exact even when the histogram is sampled: bounds must be
     // sound while estimates are allowed (designed!) to be wrong.
     degree_norms_.push_back(ComputeDegreeNorms(table, static_cast<int>(c)));

@@ -79,11 +79,10 @@ struct DegreeNorms {
 /// Computes exact degree-sequence norms of one column by a full sort+scan.
 DegreeNorms ComputeDegreeNorms(const Table& table, int column);
 
-/// Per-table statistics: one histogram per column, plus exact degree norms.
+/// Per-table statistics: a 32-bucket histogram per column, exact degree norms.
 class TableStatistics {
  public:
-  TableStatistics(const Table& table, int max_buckets, double sample_rate,
-                  uint64_t seed);
+  TableStatistics(const Table& table, double sample_rate, uint64_t seed);
 
   const Histogram& column(int i) const { return *histograms_[i]; }
   /// Exact degree-sequence norms of column `i` (see DegreeNorms).

@@ -10,6 +10,11 @@
 
 namespace lqs {
 
+/// The generated workloads' foreign-key Zipf skew (the paper uses Z = 1)
+/// and the fraction of rows their histograms sample (stale statistics).
+inline constexpr double kZipfZ = 1.0;
+inline constexpr double kStatsSampleRate = 0.1;
+
 /// Builds a table of `num_rows` rows produced by `gen(row_index, rng)`.
 /// Generation is fully deterministic given `seed`.
 std::unique_ptr<Table> BuildTable(

@@ -114,7 +114,7 @@ Status BuildRealData(Catalog* catalog, const RealWorkloadOptions& opt,
   }
 
   StatisticsOptions stats;
-  stats.sample_rate = opt.stats_sample_rate;
+  stats.sample_rate = kStatsSampleRate;
   stats.seed = opt.seed + 99;
   return catalog->BuildAllStatistics(stats);
 }

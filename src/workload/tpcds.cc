@@ -34,10 +34,10 @@ Status BuildTpcdsData(Catalog* catalog, const TpcdsOptions& opt) {
   const uint64_t num_inv = n(60000);
   const int64_t num_dates = 731;
 
-  ZipfDistribution item_skew(num_item, opt.zipf_z);
-  ZipfDistribution cust_skew(num_customer, opt.zipf_z);
-  ZipfDistribution store_skew(40, opt.zipf_z);
-  ZipfDistribution date_skew(static_cast<uint64_t>(num_dates), opt.zipf_z / 2);
+  ZipfDistribution item_skew(num_item, kZipfZ);
+  ZipfDistribution cust_skew(num_customer, kZipfZ);
+  ZipfDistribution store_skew(40, kZipfZ);
+  ZipfDistribution date_skew(static_cast<uint64_t>(num_dates), kZipfZ / 2);
 
   auto I = [](int64_t v) { return Value(v); };
   auto D = [](double v) { return Value(v); };
@@ -156,7 +156,7 @@ Status BuildTpcdsData(Catalog* catalog, const TpcdsOptions& opt) {
   LQS_RETURN_IF_ERROR(inv->BuildIndex("ix_inv_item", 1));
 
   StatisticsOptions stats;
-  stats.sample_rate = opt.stats_sample_rate;
+  stats.sample_rate = kStatsSampleRate;
   stats.seed = opt.seed + 99;
   return catalog->BuildAllStatistics(stats);
 }

@@ -37,11 +37,11 @@ Status BuildTpchData(Catalog* catalog, const TpchOptions& opt) {
   const uint64_t num_lineitem = n(60000);
   const int64_t max_date = 2405;  // days since 1992-01-01, as in dbgen
 
-  ZipfDistribution part_skew(num_part, opt.zipf_z);
-  ZipfDistribution supp_skew(num_supplier, opt.zipf_z);
-  ZipfDistribution cust_skew(num_customer, opt.zipf_z);
-  ZipfDistribution order_skew(num_orders, opt.zipf_z);
-  ZipfDistribution nation_skew(25, opt.zipf_z);
+  ZipfDistribution part_skew(num_part, kZipfZ);
+  ZipfDistribution supp_skew(num_supplier, kZipfZ);
+  ZipfDistribution cust_skew(num_customer, kZipfZ);
+  ZipfDistribution order_skew(num_orders, kZipfZ);
+  ZipfDistribution nation_skew(25, kZipfZ);
 
   auto I = [](int64_t v) { return Value(v); };
   auto D = [](double v) { return Value(v); };
@@ -199,7 +199,7 @@ Status BuildTpchData(Catalog* catalog, const TpchOptions& opt) {
   }
 
   StatisticsOptions stats;
-  stats.sample_rate = opt.stats_sample_rate;
+  stats.sample_rate = kStatsSampleRate;
   stats.seed = opt.seed + 99;
   return catalog->BuildAllStatistics(stats);
 }

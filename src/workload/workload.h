@@ -36,11 +36,7 @@ enum class PhysicalDesign {
 struct TpchOptions {
   /// Row-count scale: 1.0 => lineitem ~60k rows.
   double scale = 1.0;
-  /// Zipf skew of foreign keys (the paper uses Z = 1).
-  double zipf_z = 1.0;
   PhysicalDesign design = PhysicalDesign::kRowstore;
-  /// Statistics staleness: fraction of rows sampled for histograms.
-  double stats_sample_rate = 0.1;
   uint64_t seed = 1;
 };
 
@@ -48,8 +44,6 @@ StatusOr<Workload> MakeTpchWorkload(const TpchOptions& options);
 
 struct TpcdsOptions {
   double scale = 1.0;  ///< 1.0 => store_sales ~120k rows
-  double zipf_z = 1.0;
-  double stats_sample_rate = 0.1;
   uint64_t seed = 2;
 };
 
@@ -61,7 +55,6 @@ struct RealWorkloadOptions {
   int which = 1;        ///< 1, 2 or 3
   int num_queries = 0;  ///< 0 => default per workload (scaled-down counts)
   double scale = 1.0;
-  double stats_sample_rate = 0.1;
   uint64_t seed = 3;
 };
 

@@ -377,7 +377,8 @@ TEST_F(EstimatorAllocTest, DeltaTransportAllocatesTwicePerAttempt) {
   for (int i = 0; i < 4; ++i, now += kStepMs) (void)client.Poll(now);
   ASSERT_NE(client.view().snapshot, nullptr);
 
-  const uint64_t attempts_before = client.stats().attempts;
+  const uint64_t attempts_before =
+      client.stats().polls + client.stats().retries;
   const uint64_t deltas_before = client.stats().deltas_applied;
   uint64_t allocations = 0;
   {
@@ -385,7 +386,8 @@ TEST_F(EstimatorAllocTest, DeltaTransportAllocatesTwicePerAttempt) {
     for (; now <= horizon; now += kStepMs) (void)client.Poll(now);
     allocations = window.count();
   }
-  const uint64_t attempts = client.stats().attempts - attempts_before;
+  const uint64_t attempts =
+      client.stats().polls + client.stats().retries - attempts_before;
   EXPECT_GT(client.stats().deltas_applied, deltas_before);
   EXPECT_LE(allocations, 2 * attempts + 4)
       << allocations << " allocations over " << attempts << " attempts";

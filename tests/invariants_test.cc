@@ -96,20 +96,24 @@ TEST_F(InvariantsTest, ReplayUnderAllPresetsIsViolationFree) {
       for (const Preset& preset : AllPresets()) {
         ProgressEstimator estimator(&q.plan, ew.workload.catalog.get(),
                                     preset.options);
-        InvariantCheckerOptions copts;
-        copts.deep_bounds_check = true;
-        ProgressInvariantChecker checker(&estimator, copts);
+        ProgressInvariantChecker checker(&estimator);
         ProgressEstimator::Workspace workspace;
         ProgressReport report;
         for (const auto& snap : ew.runs[qi].trace.snapshots) {
           checker.EstimateCheckedInto(snap, &workspace, &report);
+          checker.CheckBounds(snap, report);
         }
-        checker.CheckFinal(ew.runs[qi].trace.final_snapshot, &workspace,
-                           /*min_final_progress=*/0.3);
+        const ProfileSnapshot& final_snapshot =
+            ew.runs[qi].trace.final_snapshot;
+        checker.CheckFinal(final_snapshot, &workspace);
         ASSERT_TRUE(checker.report().ok())
             << ew.workload.name << "/" << q.name << " under " << preset.name
             << "\n"
             << checker.report().ToString();
+        estimator.EstimateInto(final_snapshot, &workspace, &report);
+        ASSERT_GE(report.query_progress, 0.3)
+            << ew.workload.name << "/" << q.name << " under " << preset.name
+            << ": final progress";
       }
     }
   }

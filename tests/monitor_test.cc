@@ -117,6 +117,56 @@ TEST_F(MonitorTest, EstimatorCacheSharesAcrossSessionsPerPlanAndOptions) {
   EXPECT_TRUE(monitor.FinalCheck().ok());
 }
 
+// The cache key covers every EstimatorOptions field: flipping any one flag,
+// picking another bounds engine, or moving refine_min_rows (in its high
+// bits too) builds a distinct estimator; registering the same sets again
+// builds none.
+TEST_F(MonitorTest, EstimatorCacheKeysOnEveryOptionField) {
+  Plan plan = Annotated(Scan("t_big"));
+  ExecutionResult result = Run(plan);
+
+  std::vector<EstimatorOptions> option_sets = {EstimatorOptions::Lqs()};
+  for (bool EstimatorOptions::*flag :
+       {&EstimatorOptions::use_driver_nodes,
+        &EstimatorOptions::refine_cardinality,
+        &EstimatorOptions::bound_cardinality,
+        &EstimatorOptions::semi_blocking_adjust,
+        &EstimatorOptions::two_phase_blocking, &EstimatorOptions::use_weights,
+        &EstimatorOptions::critical_path_only,
+        &EstimatorOptions::storage_predicate_io,
+        &EstimatorOptions::batch_mode_segments,
+        &EstimatorOptions::interpolate_refinement,
+        &EstimatorOptions::propagate_refinement,
+        &EstimatorOptions::incremental}) {
+    EstimatorOptions flipped = EstimatorOptions::Lqs();
+    flipped.*flag = !(flipped.*flag);
+    option_sets.push_back(flipped);
+  }
+  for (BoundsEngineKind engine :
+       {BoundsEngineKind::kLpBound, BoundsEngineKind::kIntersect}) {
+    EstimatorOptions o = EstimatorOptions::Lqs();
+    o.bounds_engine = engine;
+    option_sets.push_back(o);
+  }
+  for (uint64_t min_rows : {uint64_t{0}, uint64_t{30} + (uint64_t{1} << 48)}) {
+    EstimatorOptions o = EstimatorOptions::Lqs();
+    o.refine_min_rows = min_rows;
+    option_sets.push_back(o);
+  }
+  ASSERT_EQ(option_sets.size(), 17u);
+
+  MonitorService monitor;
+  for (int round = 0; round < 2; ++round) {
+    for (size_t i = 0; i < option_sets.size(); ++i) {
+      monitor.RegisterSession(StringF("r%d_%zu", round, i), &plan,
+                              catalog_.get(), &result.trace, 0,
+                              option_sets[i]);
+    }
+    EXPECT_EQ(monitor.stats().estimators_cached, option_sets.size())
+        << "round " << round;
+  }
+}
+
 TEST_F(MonitorTest, ZeroHorizonDoesNotLoopForever) {
   // Regression: all sessions empty => horizon == 0 => the old example's
   // `tick = horizon / 12; t += tick` never advanced. RunToCompletion must

@@ -1,11 +1,12 @@
 // Behavior of the remote snapshot transport (src/remote/, DESIGN.md §10):
-//  - LoopbackEndpoint answers polls from a trace and flags completion;
+//  - LoopbackEndpoint answers polls from a trace, flags completion and, when
+//    serving deltas, sends every kKeyframeInterval-th answer full;
 //  - PollingClient retries with exponential backoff on transport failures,
 //    counts decode errors separately, filters duplicates, reordered
-//    deliveries and snapshots running any monotone counter backwards, so
-//    accepted snapshot timestamps are strictly increasing, degrades
-//    (recoverably) after a consecutive-failure budget, and holds the last
-//    accepted snapshot, exactly as sent, on stale ticks;
+//    deliveries, non-finite times and snapshots running any monotone
+//    counter backwards, so accepted snapshot timestamps are strictly
+//    increasing, degrades (recoverably) after a consecutive-failure budget,
+//    and holds the last accepted snapshot, exactly as sent, on stale ticks;
 //  - snapshot deltas reassemble byte-exactly against the acked base, with
 //    keyframe resync on any gap, pass the same duplicate/regression gate
 //    without touching the held snapshot when rejected, and save most of the
@@ -32,6 +33,7 @@
 #include <cstring>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -176,6 +178,59 @@ TEST(LoopbackEndpointTest, ServesTraceSnapshotsAndCompletion) {
   EXPECT_EQ(done.snapshot.operators[0].row_count, 300u);
 }
 
+// The delta server's keyframe cadence, polled directly with each answer
+// acked: the first answer is full (nothing acked yet), then every
+// kKeyframeInterval-th one; a want_keyframe poll is answered full, and
+// completion always is.
+TEST(LoopbackEndpointTest, ServesAKeyframeEverySixteenthAckedAnswer) {
+  static_assert(kKeyframeInterval == 16);
+  constexpr int kSnapshots = 40;
+  ProfileTrace trace;
+  for (int i = 1; i <= kSnapshots; ++i) {
+    trace.snapshots.push_back(
+        TinySnapshot(i * 10.0, static_cast<uint64_t>(i) * 100));
+  }
+  trace.final_snapshot = TinySnapshot(500, 5000);
+  trace.total_elapsed_ms = 500;
+  LoopbackOptions loopback;
+  loopback.serve_deltas = true;
+  LoopbackEndpoint endpoint(&trace, loopback);
+
+  double acked = -1;  // time of the last answer, acked on the next poll
+  auto poll = [&](double now, bool want_keyframe) {
+    PollRequest request;
+    request.now_ms = now;
+    request.deadline_ms = now + 50;
+    request.has_ack = acked >= 0;
+    request.ack_time_ms = acked;
+    request.want_keyframe = want_keyframe;
+    PollResult result = endpoint.Poll(request);
+    EXPECT_TRUE(result.status.ok());
+    auto response = DecodePollResponse(result.frame);
+    EXPECT_TRUE(response.ok()) << response.status().ToString();
+    PollResponse answer = std::move(response).value();
+    acked = answer.has_delta ? answer.delta.time_ms : answer.snapshot.time_ms;
+    return answer;
+  };
+
+  for (int answer = 1; answer <= kSnapshots; ++answer) {
+    const PollResponse r = poll(answer * 10.0, /*want_keyframe=*/false);
+    const bool keyframe = answer == 1 || answer == 17 || answer == 33;
+    EXPECT_EQ(r.has_snapshot, keyframe) << "answer " << answer;
+    EXPECT_EQ(r.has_delta, !keyframe) << "answer " << answer;
+    EXPECT_DOUBLE_EQ(acked, answer * 10.0);
+    EXPECT_FALSE(r.query_complete);
+  }
+  const double last = kSnapshots * 10.0;
+  EXPECT_TRUE(poll(last, /*want_keyframe=*/true).has_snapshot);
+  EXPECT_TRUE(poll(last, /*want_keyframe=*/false).has_delta);
+
+  const PollResponse done = poll(500, /*want_keyframe=*/false);
+  EXPECT_TRUE(done.has_snapshot);
+  EXPECT_TRUE(done.query_complete);
+  EXPECT_EQ(done.snapshot.operators[0].row_count, 5000u);
+}
+
 TEST(PollingClientTest, AcceptsFreshHoldsStaleAndCompletes) {
   ProfileTrace trace;
   trace.snapshots = {TinySnapshot(10, 100), TinySnapshot(20, 200)};
@@ -228,14 +283,12 @@ TEST(PollingClientTest, RetriesWithMonotoneBackoffThenAccepts) {
   PollingClientOptions options;
   options.max_attempts = 4;
   options.backoff_initial_ms = 10;
-  options.backoff_multiplier = 2.0;
-  options.jitter_fraction = 0.2;
   PollingClient client(std::move(scripted), options);
 
   const ClientView& view = client.Poll(100);
   ASSERT_NE(view.snapshot, nullptr);
   EXPECT_DOUBLE_EQ(view.snapshot->time_ms, 7.0);
-  EXPECT_EQ(client.stats().attempts, 3u);
+  EXPECT_EQ(client.stats().polls, 1u);
   EXPECT_EQ(client.stats().retries, 2u);
   EXPECT_EQ(client.stats().transport_failures, 2u);
   EXPECT_EQ(client.stats().accepted, 1u);
@@ -247,10 +300,11 @@ TEST(PollingClientTest, RetriesWithMonotoneBackoffThenAccepts) {
   EXPECT_DOUBLE_EQ(endpoint->requests[0].now_ms, 100.0);
   double gap1 = endpoint->requests[1].now_ms - endpoint->requests[0].now_ms;
   double gap2 = endpoint->requests[2].now_ms - endpoint->requests[1].now_ms;
-  EXPECT_GE(gap1, 10.0 * 0.8);
-  EXPECT_LE(gap1, 10.0 * 1.2);
-  EXPECT_GE(gap2, 20.0 * 0.8);
-  EXPECT_LE(gap2, 20.0 * 1.2);
+  const double backoff2 = 10.0 * kBackoffMultiplier;
+  EXPECT_GE(gap1, 10.0 * (1 - kJitterFraction));
+  EXPECT_LE(gap1, 10.0 * (1 + kJitterFraction));
+  EXPECT_GE(gap2, backoff2 * (1 - kJitterFraction));
+  EXPECT_LE(gap2, backoff2 * (1 + kJitterFraction));
   // Every request respects its per-attempt deadline window.
   for (const PollRequest& r : endpoint->requests) {
     EXPECT_DOUBLE_EQ(r.deadline_ms - r.now_ms, options.timeout_ms);
@@ -438,6 +492,49 @@ TEST(PollingClientTest, DeltaArmRejectsRegressionsAndResyncs) {
   EXPECT_EQ(client.stats().decode_errors, 0u);
 }
 
+// A CRC-valid frame can still carry a non-finite time. Held, +inf would
+// shut out every later snapshot (the session never completes) and NaN
+// would let an older one in (the view's time runs backwards); the gate
+// rejects both on arrival.
+TEST(PollingClientTest, NonFiniteSnapshotTimesAreRejected) {
+  PollingClientOptions options;
+  options.max_attempts = 1;
+  {
+    auto scripted = std::make_unique<ScriptedEndpoint>();
+    scripted->script.push_back(Respond(TinySnapshot(10, 100)));
+    scripted->script.push_back(
+        Respond(TinySnapshot(std::numeric_limits<double>::infinity(), 150)));
+    scripted->script.push_back(
+        Respond(TinySnapshot(20, 200), /*complete=*/true));
+    PollingClient client(std::move(scripted), options);
+    client.Poll(11);
+    client.Poll(12);
+    EXPECT_DOUBLE_EQ(client.view().snapshot->time_ms, 10.0);
+    client.Poll(21);
+    ASSERT_TRUE(client.complete()) << "+inf wedged the session";
+    EXPECT_DOUBLE_EQ(client.final_snapshot()->time_ms, 20.0);
+    EXPECT_EQ(client.stats().regressions_rejected, 1u);
+  }
+  {
+    auto scripted = std::make_unique<ScriptedEndpoint>();
+    scripted->script.push_back(Respond(TinySnapshot(10, 100)));
+    scripted->script.push_back(
+        Respond(TinySnapshot(std::numeric_limits<double>::quiet_NaN(), 200)));
+    scripted->script.push_back(Respond(TinySnapshot(5, 300)));
+    PollingClient client(std::move(scripted), options);
+    double last_seen = -1;
+    for (double now : {11.0, 12.0, 13.0}) {
+      const ClientView& view = client.Poll(now);
+      ASSERT_NE(view.snapshot, nullptr);
+      EXPECT_FALSE(std::isnan(view.snapshot->time_ms)) << "t=" << now;
+      EXPECT_GE(view.snapshot->time_ms, last_seen) << "t=" << now;
+      last_seen = view.snapshot->time_ms;
+    }
+    EXPECT_EQ(client.stats().accepted, 1u);
+    EXPECT_EQ(client.stats().regressions_rejected, 2u);
+  }
+}
+
 TEST(PollingClientTest, RetryChasesFreshDataBehindStaleDelivery) {
   // First attempt of the poll yields a reordered stale response; the retry
   // budget is spent chasing, and the second attempt lands the fresh one.
@@ -460,29 +557,33 @@ TEST(PollingClientTest, RetryChasesFreshDataBehindStaleDelivery) {
 TEST(PollingClientTest, DecodeErrorsDegradeThenOneResponseRecovers) {
   auto scripted = std::make_unique<ScriptedEndpoint>();
   ScriptedEndpoint* endpoint = scripted.get();
-  for (int i = 0; i < 3; ++i) endpoint->script.push_back(Garbage());
+  for (int i = 0; i < kDegradeAfterFailures; ++i) {
+    endpoint->script.push_back(Garbage());
+  }
 
   PollingClientOptions options;
   options.max_attempts = 1;
-  options.degrade_after_failures = 3;
   PollingClient client(std::move(scripted), options);
 
-  EXPECT_EQ(client.Poll(1).health, TransportHealth::kHealthy);
-  EXPECT_EQ(client.Poll(2).health, TransportHealth::kHealthy);
-  const ClientView& degraded = client.Poll(3);
+  for (int i = 1; i < kDegradeAfterFailures; ++i) {
+    EXPECT_EQ(client.Poll(i).health, TransportHealth::kHealthy) << i;
+  }
+  const ClientView& degraded = client.Poll(kDegradeAfterFailures);
   EXPECT_EQ(degraded.health, TransportHealth::kDegraded);
-  EXPECT_EQ(degraded.consecutive_failures, 3);
-  EXPECT_EQ(client.stats().decode_errors, 3u);
+  EXPECT_EQ(degraded.consecutive_failures, kDegradeAfterFailures);
+  EXPECT_EQ(client.stats().decode_errors,
+            static_cast<uint64_t>(kDegradeAfterFailures));
   EXPECT_EQ(client.stats().transport_failures, 0u)
       << "damaged bytes are decode errors, not transport failures";
 
   // Degraded is recoverable: one decodable response resets the budget.
-  endpoint->script.push_back(Respond(TinySnapshot(4, 40)));
-  const ClientView& recovered = client.Poll(4);
+  const double later = kDegradeAfterFailures + 1;
+  endpoint->script.push_back(Respond(TinySnapshot(later, 40)));
+  const ClientView& recovered = client.Poll(later);
   EXPECT_EQ(recovered.health, TransportHealth::kHealthy);
   EXPECT_EQ(recovered.consecutive_failures, 0);
   ASSERT_NE(recovered.snapshot, nullptr);
-  EXPECT_DOUBLE_EQ(recovered.snapshot->time_ms, 4.0);
+  EXPECT_DOUBLE_EQ(recovered.snapshot->time_ms, later);
 }
 
 TEST(PollingClientTest, HoldPolicyNeverFabricatesCounters) {
@@ -589,7 +690,6 @@ TEST(PollingClientTest, DeltaTransportMatchesFullTransportAndSavesBytes) {
                             options);
   LoopbackOptions delta_serving;
   delta_serving.serve_deltas = true;
-  delta_serving.keyframe_interval = 8;
   PollingClient delta_client(
       std::make_unique<LoopbackEndpoint>(&result.trace, delta_serving),
       options);
@@ -646,7 +746,6 @@ TEST(FaultInjectionTest, DeltaTransportResyncsUnderLossAndStaysExact) {
   faults.seed = 17;
   LoopbackOptions delta_serving;
   delta_serving.serve_deltas = true;
-  delta_serving.keyframe_interval = 8;
   auto lossy = std::make_unique<FaultInjectingEndpoint>(
       std::make_unique<LoopbackEndpoint>(&result.trace, delta_serving),
       faults);
@@ -707,7 +806,6 @@ TEST(FaultInjectionTest, SingleSessionStaysMonotoneAndCompletes) {
   options.timeout_ms = 5.0;
   options.max_attempts = 3;
   options.backoff_initial_ms = 2.0;
-  options.backoff_max_ms = 10.0;
   PollingClient client(std::move(lossy), options);
 
   double last_seen = -1;
@@ -811,7 +909,6 @@ TEST(RemoteMonitorTest, SixtyFourLossySessionsCompleteCloseToFaultFree) {
   client_options.timeout_ms = kIntervalMs;  // delays can outlive the wait
   client_options.max_attempts = 3;
   client_options.backoff_initial_ms = 1.0;
-  client_options.backoff_max_ms = 4.0;
 
   // Runs the same 64-session layout over `make_endpoint`; returns final
   // progress per session after asserting completion and monotonicity.

@@ -187,7 +187,7 @@ TEST(TableStatisticsTest, SmallTablesGetFullscanStats) {
                                    Schema({{"k", DataType::kInt64}}));
   for (int64_t i = 0; i < 25; ++i) t->AppendRow(Row{Value(i)});
   // Even with an aggressive sample rate, the 25-row table is fullscanned.
-  TableStatistics stats(*t, 32, /*sample_rate=*/0.01, 7);
+  TableStatistics stats(*t, /*sample_rate=*/0.01, 7);
   EXPECT_NEAR(stats.column(0).EstimateDistinct(), 25, 1);
 }
 
@@ -228,7 +228,7 @@ TEST(DegreeNormsTest, StatisticsBuildExactEvenWhenSampled) {
   // Histograms degrade under sampling; the ℓp norms must not — they are the
   // soundness-critical input to the LpBound engine.
   auto t = MakeTable(2000);
-  TableStatistics stats(*t, 32, /*sample_rate=*/0.05, 11);
+  TableStatistics stats(*t, /*sample_rate=*/0.05, 11);
   const DegreeNorms& g = stats.degree_norms(1);
   ASSERT_TRUE(g.valid);
   EXPECT_DOUBLE_EQ(g.linf, std::ceil(2000.0 / 7.0));

@@ -112,7 +112,6 @@ TEST(WorkloadTest, SkewedGenerationIsDeterministic) {
 TEST(WorkloadTest, ZipfSkewConcentratesForeignKeys) {
   TpchOptions opt;
   opt.scale = 0.2;
-  opt.zipf_z = 1.0;
   auto w = MakeTpchWorkload(opt);
   ASSERT_TRUE(w.ok());
   // Under Z=1 skew, the most frequent part key should appear far more often
